@@ -11,7 +11,7 @@
 use tacc_bench::{fmt3, ExperimentContext};
 use tacc_core::metrics::Table;
 use tacc_core::workload::ScenarioBuilder;
-use tacc_rl::{QLearning, QLearningConfig, Sarsa, SarsaConfig, TrainingReport};
+use tacc_rl::{QLearning, QLearningConfig, Sarsa, TrainingReport};
 
 fn emit(table: &mut Table, learner: &str, report: &TrainingReport, stride: usize) {
     // Window-smoothed reward: mean over the trailing `stride` episodes.
@@ -83,7 +83,7 @@ fn main() {
         cold_report.convergence_episode()
     );
 
-    let sarsa_cfg = SarsaConfig { episodes, ..SarsaConfig::default() };
+    let sarsa_cfg = QLearningConfig { episodes, ..QLearningConfig::default() };
     let (sarsa_solution, sarsa_report) =
         Sarsa::new(sarsa_cfg, seed).train(instance).expect("sarsa");
     emit(&mut table, "sarsa", &sarsa_report, stride);

@@ -7,7 +7,7 @@ use tacc_gap::exact::{BranchAndBound, BruteForce};
 use tacc_gap::{AnytimeSolver, Solver};
 use tacc_rl::{
     BanditAssign, BanditConfig, DoubleQLearning, LfaConfig, LfaQLearning, QLearning,
-    QLearningConfig, Sarsa, SarsaConfig,
+    QLearningConfig, Sarsa,
 };
 
 /// The registry of every assignment algorithm in the workspace.
@@ -25,7 +25,7 @@ pub enum Algorithm {
     /// Double Q-learning (maximization-bias-corrected variant).
     DoubleQLearning(QLearningConfig),
     /// On-policy SARSA variant.
-    Sarsa(SarsaConfig),
+    Sarsa(QLearningConfig),
     /// Q-learning with topology-aware linear function approximation.
     LfaQLearning(LfaConfig),
     /// Stateless per-device bandit (ablation).
@@ -130,7 +130,7 @@ impl Algorithm {
             Algorithm::q_learning(),
             Algorithm::QLearningPolished(QLearningConfig::default()),
             Algorithm::DoubleQLearning(QLearningConfig::default()),
-            Algorithm::Sarsa(SarsaConfig::default()),
+            Algorithm::Sarsa(QLearningConfig::default()),
             Algorithm::LfaQLearning(LfaConfig::default()),
             Algorithm::Bandit(BanditConfig::default()),
             Algorithm::greedy(),

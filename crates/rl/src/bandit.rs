@@ -1,10 +1,10 @@
 use std::time::Instant;
 
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use tacc_gap::{Assignment, GapError, GapInstance, Solution, SolveStats, Solver};
 
-use crate::report::EpisodePoint;
+use crate::trainer::{masked_argmax, pick, Incumbent};
 use crate::{AssignmentMdp, EpisodeOrder, EpsilonSchedule, TrainingReport};
 
 /// Hyper-parameters of [`BanditAssign`].
@@ -81,31 +81,20 @@ impl BanditAssign {
 
         let mut values = vec![vec![0.0f64; m]; n];
         let mut counts = vec![vec![0u32; m]; n];
-
-        let mut best: Option<(Assignment, f64)> = None;
-        let mut history = Vec::with_capacity(cfg.episodes);
-        let mut evaluations = 0u64;
+        let mut incumbent = Incumbent::new(cfg.episodes);
+        // Every episode assigns every device, fully overwriting the last.
+        let mut assignment = Assignment::unassigned(n, m);
 
         for episode in 0..cfg.episodes {
             let epsilon = cfg.epsilon.at(episode);
             mdp.reset();
-            let mut assignment = Assignment::unassigned(n, m);
             let mut episode_return = 0.0;
 
             while !mdp.is_done() {
                 let device = mdp.current_device();
-                let action = if rng.random::<f64>() < epsilon {
-                    rng.random_range(0..m)
-                } else {
-                    let row = &values[device];
-                    let mut a = 0usize;
-                    for (j, &v) in row.iter().enumerate() {
-                        if v > row[a] {
-                            a = j;
-                        }
-                    }
-                    a
-                };
+                let action = pick(&mdp, false, epsilon, &mut rng, || {
+                    masked_argmax(&mdp, false, |j| values[device][j])
+                });
                 let reward = mdp.apply(action);
                 assignment.assign(device, action)?;
                 episode_return += reward;
@@ -113,46 +102,21 @@ impl BanditAssign {
                 let k = f64::from(counts[device][action]);
                 values[device][action] += (reward - values[device][action]) / k;
             }
-
-            evaluations += 1;
-            if assignment.is_feasible(instance) {
-                let delay = assignment.total_delay(instance)?;
-                if best.as_ref().map_or(true, |(_, b)| delay < *b) {
-                    best = Some((assignment.clone(), delay));
-                }
-            }
-            history.push(EpisodePoint {
-                episode,
-                reward: episode_return,
-                best_objective: best.as_ref().map_or(f64::INFINITY, |(_, b)| *b),
-                epsilon,
-            });
+            incumbent.record(&assignment, instance, episode, episode_return, epsilon)?;
         }
 
         // Greedy extraction from the arm means.
-        let mut rollout = Assignment::unassigned(n, m);
-        for (device, row) in values.iter().enumerate() {
-            let mut a = 0usize;
-            for (j, &v) in row.iter().enumerate() {
-                if v > row[a] {
-                    a = j;
-                }
+        let (assignment, history, evaluations) = incumbent.finish(instance, true, || {
+            let mut rollout = Assignment::unassigned(n, m);
+            mdp.reset();
+            while !mdp.is_done() {
+                let device = mdp.current_device();
+                let action = masked_argmax(&mdp, false, |j| values[device][j]);
+                mdp.apply(action);
+                rollout.assign(device, action)?;
             }
-            rollout.assign(device, a)?;
-        }
-        evaluations += 1;
-        let rollout_feasible = rollout.is_feasible(instance);
-        let rollout_delay = rollout.total_delay(instance)?;
-        let use_rollout = match &best {
-            None => true,
-            Some((_, best_delay)) => rollout_feasible && rollout_delay < *best_delay,
-        };
-        let assignment = if use_rollout {
-            rollout
-        } else {
-            best.expect("best is Some when rollout is not used").0
-        };
-
+            Ok(rollout)
+        })?;
         let stats =
             SolveStats { elapsed: start.elapsed(), iterations: cfg.episodes as u64, evaluations };
         Ok((Solution::evaluate(assignment, instance, stats)?, TrainingReport::new(history, 0)))

@@ -1,10 +1,10 @@
 use std::time::Instant;
 
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use tacc_gap::{Assignment, GapError, GapInstance, Solution, SolveStats, Solver};
 
-use crate::report::EpisodePoint;
+use crate::trainer::{masked_argmax, masked_max, pick, Incumbent};
 use crate::{
     AssignmentMdp, EpisodeOrder, EpsilonSchedule, FeatureExtractor, TrainingReport, NUM_FEATURES,
 };
@@ -99,10 +99,8 @@ impl LfaQLearning {
         let m = mdp.num_actions();
         let fx = FeatureExtractor::new(instance);
         let mut theta = [0.0f64; NUM_FEATURES];
-
-        let mut best: Option<(Assignment, f64)> = None;
-        let mut history = Vec::with_capacity(cfg.episodes);
-        let mut evaluations = 0u64;
+        let masking = cfg.action_masking;
+        let mut incumbent = Incumbent::new(cfg.episodes);
         // Scratch buffers reused across every step of every episode: the
         // per-action feature vectors of the current and successor states,
         // and the episode's assignment (fully overwritten each episode).
@@ -129,7 +127,9 @@ impl LfaQLearning {
                     phi_by_action.clear();
                     phi_by_action.extend((0..m).map(|j| fx.extract(&mdp, j)));
                 }
-                let action = self.pick(&mdp, &theta, &phi_by_action, epsilon, &mut rng);
+                let action = pick(&mdp, masking, epsilon, &mut rng, || {
+                    masked_argmax(&mdp, masking, |j| dot(&theta, &phi_by_action[j]))
+                });
                 let phi = phi_by_action[action];
                 let q_sa = dot(&theta, &phi);
                 let reward = mdp.apply(action);
@@ -139,22 +139,12 @@ impl LfaQLearning {
                 let target = if mdp.is_done() {
                     reward
                 } else {
-                    // Extract the successor features once; both the masked
-                    // fold and the all-actions fallback read the buffer,
-                    // and the next iteration inherits it wholesale.
+                    // Extract the successor features once; the next
+                    // iteration inherits them wholesale.
                     phi_next.clear();
                     phi_next.extend((0..m).map(|j| fx.extract(&mdp, j)));
                     carried = true;
-                    let next_best = (0..m)
-                        .filter(|&j| !cfg.action_masking || mdp.action_fits(j))
-                        .map(|j| dot(&theta, &phi_next[j]))
-                        .fold(f64::NEG_INFINITY, f64::max);
-                    let next_best = if next_best.is_finite() {
-                        next_best
-                    } else {
-                        phi_next.iter().map(|p| dot(&theta, p)).fold(f64::NEG_INFINITY, f64::max)
-                    };
-                    reward + cfg.gamma * next_best
+                    reward + cfg.gamma * masked_max(&mdp, masking, |j| dot(&theta, &phi_next[j]))
                 };
                 let delta = target - q_sa;
                 for (t, p) in theta.iter_mut().zip(phi.iter()) {
@@ -162,88 +152,26 @@ impl LfaQLearning {
                 }
             }
 
-            evaluations += 1;
-            if assignment.is_feasible(instance) {
-                let delay = assignment.total_delay(instance)?;
-                if best.as_ref().map_or(true, |(_, b)| delay < *b) {
-                    best = Some((assignment.clone(), delay));
-                }
+            incumbent.record(&assignment, instance, episode, episode_return, epsilon)?;
+        }
+
+        // Greedy extraction; without a budget, training always completes.
+        let (assignment, history, evaluations) = incumbent.finish(instance, true, || {
+            mdp.reset();
+            let mut rollout = Assignment::unassigned(instance.num_devices(), m);
+            while !mdp.is_done() {
+                phi_by_action.clear();
+                phi_by_action.extend((0..m).map(|j| fx.extract(&mdp, j)));
+                let action = masked_argmax(&mdp, masking, |j| dot(&theta, &phi_by_action[j]));
+                let device = mdp.current_device();
+                mdp.apply(action);
+                rollout.assign(device, action)?;
             }
-            history.push(EpisodePoint {
-                episode,
-                reward: episode_return,
-                best_objective: best.as_ref().map_or(f64::INFINITY, |(_, b)| *b),
-                epsilon,
-            });
-        }
-
-        // Greedy extraction.
-        mdp.reset();
-        let mut rollout = Assignment::unassigned(instance.num_devices(), m);
-        while !mdp.is_done() {
-            phi_by_action.clear();
-            phi_by_action.extend((0..m).map(|j| fx.extract(&mdp, j)));
-            let action = self.pick(&mdp, &theta, &phi_by_action, 0.0, &mut rng);
-            let device = mdp.current_device();
-            mdp.apply(action);
-            rollout.assign(device, action)?;
-        }
-        evaluations += 1;
-        let rollout_feasible = rollout.is_feasible(instance);
-        let rollout_delay = rollout.total_delay(instance)?;
-        let use_rollout = match &best {
-            None => true,
-            Some((_, best_delay)) => rollout_feasible && rollout_delay < *best_delay,
-        };
-        let assignment = if use_rollout {
-            rollout
-        } else {
-            best.expect("best is Some when rollout is not used").0
-        };
-
+            Ok(rollout)
+        })?;
         let stats =
             SolveStats { elapsed: start.elapsed(), iterations: cfg.episodes as u64, evaluations };
         Ok((Solution::evaluate(assignment, instance, stats)?, TrainingReport::new(history, 0)))
-    }
-
-    fn pick(
-        &self,
-        mdp: &AssignmentMdp<'_>,
-        theta: &[f64; NUM_FEATURES],
-        phi_by_action: &[[f64; NUM_FEATURES]],
-        epsilon: f64,
-        rng: &mut ChaCha8Rng,
-    ) -> usize {
-        let m = mdp.num_actions();
-        let masking = self.config.action_masking;
-        if epsilon > 0.0 && rng.random::<f64>() < epsilon {
-            if masking {
-                if let Some(j) = crate::qlearning::random_fitting(mdp, rng) {
-                    return j;
-                }
-            }
-            return rng.random_range(0..m);
-        }
-        // First strictly-best fitting server (all servers when nothing fits
-        // or masking is off), without materializing a candidate list.
-        let mut best: Option<(usize, f64)> = None;
-        if masking {
-            for j in (0..m).filter(|&j| mdp.action_fits(j)) {
-                let q = dot(theta, &phi_by_action[j]);
-                if best.map_or(true, |(_, b)| q > b) {
-                    best = Some((j, q));
-                }
-            }
-        }
-        if best.is_none() {
-            for (j, phi) in phi_by_action.iter().enumerate().take(m) {
-                let q = dot(theta, phi);
-                if best.map_or(true, |(_, b)| q > b) {
-                    best = Some((j, q));
-                }
-            }
-        }
-        best.expect("at least one action").0
     }
 }
 

@@ -46,6 +46,8 @@ struct QRow {
 pub struct QTable {
     rows: HashMap<StateKey, QRow, PassthroughState>,
     num_actions: usize,
+    /// The values of every unvisited state.
+    zeros: Vec<f64>,
 }
 
 impl QTable {
@@ -56,53 +58,18 @@ impl QTable {
     /// Panics if `num_actions` is 0.
     pub fn new(num_actions: usize) -> Self {
         assert!(num_actions > 0, "need at least one action");
-        QTable { rows: HashMap::default(), num_actions }
+        QTable { rows: HashMap::default(), num_actions, zeros: vec![0.0; num_actions] }
     }
 
     /// Q(s, a), defaulting to 0.0 for unvisited pairs.
     pub fn get(&self, state: StateKey, action: usize) -> f64 {
-        self.rows.get(&state).map_or(0.0, |row| row.values[action])
+        self.row_ref(state)[action]
     }
 
-    /// All action values of a state (0.0 defaults).
-    pub fn row(&self, state: StateKey) -> Vec<f64> {
-        self.row_ref(state).map_or_else(|| vec![0.0; self.num_actions], <[f64]>::to_vec)
-    }
-
-    /// Borrowed action values of a state, `None` when unvisited (all
-    /// values implicitly 0.0). The allocation-free fast path for the
-    /// training loops' masked argmax scans.
-    pub fn row_ref(&self, state: StateKey) -> Option<&[f64]> {
-        self.rows.get(&state).map(|row| row.values.as_slice())
-    }
-
-    /// `max_a Q(s, a)`.
-    pub fn max_value(&self, state: StateKey) -> f64 {
-        self.rows
-            .get(&state)
-            .map_or(0.0, |row| row.values.iter().cloned().fold(f64::NEG_INFINITY, f64::max))
-    }
-
-    /// The greedy action of a state: the argmax with ties broken toward
-    /// the lowest index (deterministic extraction).
-    pub fn greedy_action(&self, state: StateKey) -> usize {
-        match self.row_ref(state) {
-            None => 0,
-            Some(row) => {
-                let mut best = 0usize;
-                for (a, &q) in row.iter().enumerate() {
-                    if q > row[best] {
-                        best = a;
-                    }
-                }
-                best
-            }
-        }
-    }
-
-    /// Number of updates applied so far to `(state, action)`.
-    pub fn visit_count(&self, state: StateKey, action: usize) -> u32 {
-        self.rows.get(&state).map_or(0, |row| row.visits[action])
+    /// Borrowed action values of a state, all 0.0 when unvisited. One
+    /// hash probe serves a whole masked argmax scan.
+    pub fn row_ref(&self, state: StateKey) -> &[f64] {
+        self.rows.get(&state).map_or(&self.zeros, |row| &row.values)
     }
 
     /// Initializes a state's action values if the state has never been
@@ -125,26 +92,9 @@ impl QTable {
         }
     }
 
-    /// Applies the TD update `Q(s,a) += α · (target − Q(s,a))` and bumps
-    /// the visit counter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `action` is out of range.
-    pub fn update(&mut self, state: StateKey, action: usize, alpha: f64, target: f64) {
-        assert!(action < self.num_actions, "action {action} out of range");
-        let row = self.rows.entry(state).or_insert_with(|| QRow {
-            values: vec![0.0; self.num_actions],
-            visits: vec![0; self.num_actions],
-        });
-        row.values[action] += alpha * (target - row.values[action]);
-        row.visits[action] = row.visits[action].saturating_add(1);
-    }
-
-    /// Like [`QTable::update`], but derives the step size from the
-    /// pair's *pre-update* visit count inside the same hash probe — the
-    /// `visit_count` + `update` pattern of the training loops fused into
-    /// one lookup.
+    /// Applies the TD update `Q(s,a) += α · (target − Q(s,a))` with
+    /// `α = alpha_of(visits)`, the pair's *pre-update* visit count, and
+    /// bumps that count — one hash probe for both.
     ///
     /// # Panics
     ///
@@ -201,40 +151,38 @@ mod tests {
         let q = QTable::new(3);
         let s = key(0);
         assert_eq!(q.get(s, 0), 0.0);
-        assert_eq!(q.max_value(s), 0.0);
-        assert_eq!(q.greedy_action(s), 0);
-        assert_eq!(q.row(s), vec![0.0; 3]);
+        assert_eq!(q.row_ref(s), &[0.0; 3]);
+        assert_eq!(q.num_states(), 0);
     }
 
     #[test]
     fn update_moves_toward_target() {
         let mut q = QTable::new(2);
         let s = key(1);
-        q.update(s, 1, 0.5, -10.0);
-        assert_eq!(q.get(s, 1), -5.0);
-        q.update(s, 1, 0.5, -10.0);
+        let mut seen = Vec::new();
+        for _ in 0..2 {
+            q.update_with(
+                s,
+                1,
+                |visits| {
+                    seen.push(visits);
+                    0.5
+                },
+                -10.0,
+            );
+        }
         assert_eq!(q.get(s, 1), -7.5);
-        assert_eq!(q.visit_count(s, 1), 2);
-        assert_eq!(q.visit_count(s, 0), 0);
-    }
-
-    #[test]
-    fn greedy_action_prefers_higher_value() {
-        let mut q = QTable::new(3);
-        let s = key(2);
-        q.update(s, 0, 1.0, -5.0);
-        q.update(s, 1, 1.0, -1.0);
-        q.update(s, 2, 1.0, -3.0);
-        assert_eq!(q.greedy_action(s), 1);
-        assert_eq!(q.max_value(s), -1.0);
+        assert_eq!(seen, vec![0, 1], "the step size sees the pre-update visit count");
+        q.update_with(s, 0, |visits| f64::from(visits + 1) / 2.0, -4.0);
+        assert_eq!(q.row_ref(s), &[-2.0, -7.5]);
     }
 
     #[test]
     fn states_are_counted() {
         let mut q = QTable::new(2);
-        q.update(key(0), 0, 0.1, 1.0);
-        q.update(key(0), 1, 0.1, 1.0);
-        q.update(key(3), 0, 0.1, 1.0);
+        q.update_with(key(0), 0, |_| 0.1, 1.0);
+        q.update_with(key(0), 1, |_| 0.1, 1.0);
+        q.update_with(key(3), 0, |_| 0.1, 1.0);
         assert_eq!(q.num_states(), 2);
     }
 
@@ -242,6 +190,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_action_panics() {
         let mut q = QTable::new(2);
-        q.update(key(0), 2, 0.1, 0.0);
+        q.update_with(key(0), 2, |_| 0.1, 0.0);
     }
 }

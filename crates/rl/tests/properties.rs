@@ -15,7 +15,7 @@ use tacc_gap::bounds::capacity_free_bound;
 use tacc_gap::{GapInstance, Solver};
 use tacc_rl::{
     BanditAssign, BanditConfig, EpsilonSchedule, LfaConfig, LfaQLearning, QLearning,
-    QLearningConfig, Sarsa, SarsaConfig,
+    QLearningConfig, Sarsa,
 };
 use tacc_topology::DelayMatrix;
 
@@ -52,11 +52,7 @@ proptest! {
         let lb = capacity_free_bound(&inst);
         let solvers: Vec<Box<dyn Solver>> = vec![
             Box::new(QLearning::new(quick_ql(150), 5)),
-            Box::new(Sarsa::new(SarsaConfig {
-                episodes: 150,
-                epsilon: EpsilonSchedule::new(1.0, 0.05, 0.98),
-                ..SarsaConfig::default()
-            }, 5)),
+            Box::new(Sarsa::new(quick_ql(150), 5)),
             Box::new(LfaQLearning::new(LfaConfig {
                 episodes: 150,
                 epsilon: EpsilonSchedule::new(1.0, 0.05, 0.98),

@@ -60,28 +60,3 @@ fn zoned_solve_answers_are_feasible_and_deterministic() {
     assert!(text.contains("\"kind\":\"zones\""), "stream carries the zones record:\n{text}");
     std::fs::remove_dir_all(&dir).ok();
 }
-
-#[test]
-fn one_zone_config_stays_on_the_flat_path() {
-    let (trace, shell, config) = fixtures();
-    let mut flat = Session::start(shell.clone(), config.clone(), &ServeConfig::default()).unwrap();
-    let mut one =
-        Session::start(shell, config, &ServeConfig { zones: 1, ..ServeConfig::default() }).unwrap();
-    for burst in trace.events.chunks(40) {
-        flat.push(burst.to_vec(), 0).unwrap();
-        one.push(burst.to_vec(), 0).unwrap();
-    }
-    let a = flat.solve(200).unwrap();
-    let b = one.solve(200).unwrap();
-    match (a, b) {
-        (
-            Response::Solution { objective: oa, solver: sa, assignment: aa, .. },
-            Response::Solution { objective: ob, solver: sb, assignment: ab, .. },
-        ) => {
-            assert_eq!(oa.to_bits(), ob.to_bits(), "zones<=1 is the identical flat path");
-            assert_eq!(sa, sb);
-            assert_eq!(aa, ab);
-        }
-        other => panic!("expected two solutions, got {other:?}"),
-    }
-}

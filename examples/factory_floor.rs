@@ -11,7 +11,7 @@
 
 use rand::SeedableRng;
 use tacc_core::gap::bounds;
-use tacc_core::rl::{QLearningConfig, SarsaConfig};
+use tacc_core::rl::QLearningConfig;
 use tacc_core::topology::generators::{Grid, TopologyGenerator};
 use tacc_core::{Algorithm, ClusterConfigurator, CoreError};
 
@@ -54,7 +54,7 @@ fn main() -> Result<(), CoreError> {
     let episodes = if quick { 300 } else { QLearningConfig::default().episodes };
     for algorithm in [
         Algorithm::QLearning(QLearningConfig { episodes, ..QLearningConfig::default() }),
-        Algorithm::Sarsa(SarsaConfig { episodes, ..SarsaConfig::default() }),
+        Algorithm::Sarsa(QLearningConfig { episodes, ..QLearningConfig::default() }),
         Algorithm::greedy(),
         Algorithm::BestFitDecreasing,
         Algorithm::Random,

@@ -4,7 +4,7 @@
 use tacc_core::baselines::{LocalSearch, SimulatedAnnealing, TabuSearch};
 use tacc_core::gap::exact::BranchAndBound;
 use tacc_core::gap::{GapError, Solver};
-use tacc_core::rl::{EpsilonSchedule, QLearning, QLearningConfig, Sarsa, SarsaConfig};
+use tacc_core::rl::{EpsilonSchedule, QLearning, QLearningConfig, Sarsa};
 use tacc_core::workload::{seeds, ScenarioBuilder};
 
 fn ql_config() -> QLearningConfig {
@@ -35,14 +35,7 @@ fn heuristics_stay_within_ten_percent_of_optimal_on_small_instances() {
 
         let solvers: Vec<Box<dyn Solver>> = vec![
             Box::new(QLearning::new(ql_config(), seed)),
-            Box::new(Sarsa::new(
-                SarsaConfig {
-                    episodes: 1500,
-                    epsilon: EpsilonSchedule::new(1.0, 0.03, 0.995),
-                    ..SarsaConfig::default()
-                },
-                seed,
-            )),
+            Box::new(Sarsa::new(ql_config(), seed)),
             Box::new(LocalSearch::new(seed)),
             Box::new(SimulatedAnnealing::new(seed)),
             Box::new(TabuSearch::new(seed)),
