@@ -34,7 +34,7 @@ fn drift_once(topology: &Topology, full_mode: bool) {
     let link: LinkId = topo.graph().link_id(topo.graph().link_count() / 2);
     let base = topo.graph().link(link).latency_ms();
     topo.set_link_latency(link, base * 1.5).expect("valid latency");
-    black_box(maintainer.drift(&topo, link));
+    black_box(maintainer.drift(&topo, link, &mut Vec::new()));
 }
 
 fn bench_drift(c: &mut Criterion) {
@@ -58,8 +58,8 @@ fn bench_fail_recover(c: &mut Criterion) {
         let mut maintainer = DelayMaintainer::new(&topo, DelayModel::default(), false);
         group.bench_with_input(BenchmarkId::from_parameter(format!("{n}x{m}")), &n, |b, _| {
             b.iter(|| {
-                black_box(maintainer.fail_server(&topo, 0));
-                black_box(maintainer.recover_server(&topo, 0));
+                black_box(maintainer.fail_server(&topo, 0, &mut Vec::new()));
+                black_box(maintainer.recover_server(&topo, 0, &mut Vec::new()));
             });
         });
     }

@@ -83,18 +83,18 @@ fn run_static(trace: &Trace, seed: u64) -> Accum {
             TraceEvent::DeviceLeave { device } => wanted[device] = false,
             TraceEvent::ServerFail { server } => {
                 if !maintainer.is_failed(server) {
-                    maintainer.fail_server(&topology, server);
+                    maintainer.fail_server(&topology, server, &mut Vec::new());
                 }
             }
             TraceEvent::ServerRecover { server } => {
                 if maintainer.is_failed(server) {
-                    maintainer.recover_server(&topology, server);
+                    maintainer.recover_server(&topology, server, &mut Vec::new());
                 }
             }
             TraceEvent::LinkLatencyDrift { link, latency_ms } => {
                 let id = topology.graph().link_id(link);
                 topology.set_link_latency(id, latency_ms).expect("generated drift is valid");
-                maintainer.drift(&topology, id);
+                maintainer.drift(&topology, id, &mut Vec::new());
             }
         }
         let mut served = 0;

@@ -235,16 +235,20 @@ impl DynamicCluster {
         true
     }
 
-    /// Swaps in a new delay matrix (same devices, servers, demands and
-    /// capacities) — the hook for online delay maintenance. Loads and the
-    /// assignment are unchanged; only delay-derived quantities move.
+    /// Overwrites one delay `d(device, server)` of the instance — the
+    /// hook for online delay maintenance, which patches only the entries
+    /// a topology change touched. Loads and the assignment are
+    /// unchanged; only delay-derived quantities move.
     ///
     /// # Errors
     ///
-    /// Propagates [`GapInstance::with_delays`] validation errors.
-    pub fn update_delays(&mut self, delays: tacc_topology::DelayMatrix) -> Result<(), GapError> {
-        self.instance = self.instance.with_delays(delays)?;
-        Ok(())
+    /// Propagates [`GapInstance::set_delay`] validation errors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either index is out of range.
+    pub fn set_delay(&mut self, device: usize, server: usize, delay: f64) -> Result<(), GapError> {
+        self.instance.set_delay(device, server, delay)
     }
 
     /// Deactivates a device, freeing its server capacity.
@@ -263,7 +267,50 @@ impl DynamicCluster {
     /// best-gain feasibility-preserving single-device shift. Returns the
     /// number of migrations actually performed (stops early at a local
     /// optimum).
+    ///
+    /// Each migration is one pass over the active devices' delay and
+    /// demand rows. A move must gain more than `1e-12` and strictly more
+    /// than the best move found before it in device-then-server order,
+    /// so ties go to the lowest device, then the lowest server.
     pub fn rebalance(&mut self, budget: usize) -> usize {
+        // Capacities never change; loads move with every migration.
+        let limits: Vec<f64> = self.instance.capacities().iter().map(|c| c + 1e-9).collect();
+        let mut performed = 0;
+        for _ in 0..budget {
+            // The gain a move must beat: the floor, then the best so far.
+            let mut threshold = 1e-12;
+            let mut best: Option<(usize, usize)> = None; // (device, to)
+            for (device, _) in self.active.iter().enumerate().filter(|&(_, &active)| active) {
+                let from = self.assignment.server_of(device).expect("active");
+                let delays = self.instance.delay_row(device);
+                let demands = self.instance.demand_row(device);
+                let current = delays[from];
+                let targets = delays.iter().zip(demands).zip(self.loads.iter().zip(&limits));
+                for (to, ((&delay, &demand), (&load, &limit))) in targets.enumerate() {
+                    // Staying put gains 0 (NaN when unreachable), never
+                    // more than the threshold.
+                    let gain = current - delay;
+                    if gain > threshold && load + demand <= limit {
+                        threshold = gain;
+                        best = Some((device, to));
+                    }
+                }
+            }
+            let Some((device, to)) = best else { break };
+            let from = self.assignment.server_of(device).expect("active");
+            self.loads[from] -= self.instance.demand(device, from);
+            self.loads[to] += self.instance.demand(device, to);
+            self.assignment.assign(device, to).expect("server in range");
+            self.migrations += 1;
+            performed += 1;
+        }
+        performed
+    }
+
+    /// The per-pair scan [`DynamicCluster::rebalance`] replaced, kept as
+    /// the reference its proptest compares against.
+    #[cfg(test)]
+    fn rebalance_reference(&mut self, budget: usize) -> usize {
         let m = self.instance.num_servers();
         let mut performed = 0;
         for _ in 0..budget {
@@ -402,6 +449,94 @@ mod tests {
             DynamicCluster::from_assignment(inst, a),
             Err(GapError::IncompleteAssignment { device: 0 })
         ));
+    }
+
+    /// A random cluster for the rebalance equivalence proptest: about a
+    /// quarter of the devices inactive, assignments that may already
+    /// overload a server, capacities from loose to tighter than the
+    /// total demand, some unreachable pairs, and (with `ties`) delays
+    /// and demands on a coarse grid so many moves gain exactly the same.
+    fn random_cluster(n: usize, m: usize, seed: u64, ties: bool, tightness: f64) -> DynamicCluster {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let mut draw = |lo: f64, hi: f64| {
+            if ties {
+                f64::from(rng.random_range(0u32..4)).mul_add((hi - lo) / 4.0, lo)
+            } else {
+                rng.random_range(lo..hi)
+            }
+        };
+        let mut rows = Vec::with_capacity(n);
+        let mut demands = Vec::with_capacity(n * m);
+        for _ in 0..n {
+            rows.push((0..m).map(|_| draw(0.0, 8.0)).collect::<Vec<f64>>());
+            demands.extend((0..m).map(|_| draw(0.5, 2.5)));
+        }
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
+        for row in &mut rows {
+            for d in row.iter_mut() {
+                if rng.random_bool(0.08) {
+                    *d = f64::INFINITY;
+                }
+            }
+        }
+        let total: f64 = demands.iter().sum::<f64>() / m as f64;
+        let capacities: Vec<f64> =
+            (0..m).map(|_| total * tightness / m as f64 * rng.random_range(0.7..1.3)).collect();
+        let inst = GapInstance::builder(DelayMatrix::from_rows(rows))
+            .demand_matrix(demands)
+            .capacities(capacities)
+            .build()
+            .unwrap();
+        let mut assignment = Assignment::unassigned(n, m);
+        for device in 0..n {
+            if rng.random_bool(0.75) {
+                assignment.assign(device, rng.random_range(0..m)).unwrap();
+            }
+        }
+        DynamicCluster::from_partial(inst, assignment, 0).unwrap()
+    }
+
+    fn same_state(a: &DynamicCluster, b: &DynamicCluster) -> bool {
+        a.assignment() == b.assignment()
+            && a.migrations() == b.migrations()
+            && a.server_loads()
+                .iter()
+                .map(|l| l.to_bits())
+                .eq(b.server_loads().iter().map(|l| l.to_bits()))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(200))]
+
+        /// The one-pass scan picks the reference scan's moves in the same
+        /// order: equal return values, assignments, migration counts and
+        /// bitwise loads at budgets 0, 1, 4 and unbounded, and equal
+        /// states after every single move.
+        #[test]
+        fn rebalance_matches_the_reference_scan(
+            n in 1usize..=14,
+            m in 1usize..=5,
+            seed in 0u64..1_000_000,
+            ties in 0u8..2,
+            tightness in 0.5f64..1.6,
+        ) {
+            let cluster = random_cluster(n, m, seed, ties == 1, tightness);
+            for budget in [0, 1, 4, usize::MAX] {
+                let (mut fast, mut reference) = (cluster.clone(), cluster.clone());
+                proptest::prop_assert_eq!(fast.rebalance(budget), reference.rebalance_reference(budget));
+                proptest::prop_assert!(same_state(&fast, &reference), "budget {}", budget);
+            }
+            let (mut fast, mut reference) = (cluster.clone(), cluster);
+            loop {
+                let moved = fast.rebalance(1);
+                proptest::prop_assert_eq!(moved, reference.rebalance_reference(1));
+                proptest::prop_assert!(same_state(&fast, &reference), "after {} moves", fast.migrations());
+                if moved == 0 {
+                    break;
+                }
+            }
+        }
     }
 
     #[test]

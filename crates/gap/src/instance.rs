@@ -11,8 +11,10 @@ use crate::GapError;
 /// `c(j)`. All demands and capacities are strictly positive and finite;
 /// delays are non-negative.
 ///
-/// Instances are immutable once built — solvers share them freely by
-/// reference (`GapInstance` is `Sync`).
+/// Solvers share instances freely by reference (`GapInstance` is
+/// `Sync`). Demands and capacities are fixed once built; only the
+/// online runtime's [`GapInstance::set_delay`] changes an instance in
+/// place, and only its delays.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GapInstance {
     delays: DelayMatrix,
@@ -130,6 +132,28 @@ impl GapInstance {
             demands: self.demands.clone(),
             capacities: self.capacities.clone(),
         })
+    }
+
+    /// Overwrites one delay `d(i, j)` in place — the hook the online
+    /// runtime uses to patch the entries a link drift or server failure
+    /// changed, while demands and capacities stay put. Validates like
+    /// [`GapInstance::with_delays`].
+    ///
+    /// # Errors
+    ///
+    /// [`GapError::InvalidDelay`] for a NaN or negative value
+    /// (`f64::INFINITY` is allowed and marks an unreachable pair); the
+    /// instance is unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either index is out of range.
+    pub fn set_delay(&mut self, device: usize, server: usize, delay: f64) -> Result<(), GapError> {
+        if delay.is_nan() || delay < 0.0 {
+            return Err(GapError::InvalidDelay { device, server, value: delay });
+        }
+        self.delays.set(device, server, delay);
+        Ok(())
     }
 
     /// System load factor: total minimum demand divided by total capacity.
@@ -376,6 +400,28 @@ mod tests {
         let inst =
             GapInstance::builder(delays).uniform_demand(1.0).uniform_capacity(5.0).build().unwrap();
         assert!(inst.delay(0, 0).is_infinite());
+    }
+
+    #[test]
+    fn set_delay_patches_one_entry_and_validates() {
+        let mut inst = GapInstance::builder(delays_2x2())
+            .uniform_demand(1.0)
+            .uniform_capacity(5.0)
+            .build()
+            .unwrap();
+        inst.set_delay(1, 0, f64::INFINITY).unwrap();
+        inst.set_delay(0, 1, 0.5).unwrap();
+        assert!(inst.delay(1, 0).is_infinite());
+        assert_eq!(inst.delay(0, 1), 0.5);
+        assert_eq!(inst.delay(0, 0), 1.0);
+        assert_eq!(inst.delay(1, 1), 4.0);
+
+        let before = inst.clone();
+        for bad in [f64::NAN, -1.0] {
+            let err = inst.set_delay(1, 1, bad).unwrap_err();
+            assert!(matches!(err, GapError::InvalidDelay { device: 1, server: 1, .. }));
+        }
+        assert_eq!(inst, before, "a rejected delay leaves the instance unchanged");
     }
 
     #[test]

@@ -21,8 +21,10 @@
 //!   idempotently (re-ships of already-held lines are acknowledged, a
 //!   gap is a typed error), verifies each parses as a journal record,
 //!   appends them verbatim to its own journal (one fsync per batch),
-//!   and eagerly maintains a live [`tacc_runtime::Runtime`] replica so
-//!   promotion is near-instant.
+//!   and steps a live [`tacc_runtime::Runtime`] replica through every
+//!   shipped event. The replica does not make promotion cheap —
+//!   promotion is a full journal recovery — but it refuses events it
+//!   cannot step and cross-checks the recovered cursor.
 //! - **[`HaHooks`]**: the [`tacc_serve::ServerHooks`] implementation
 //!   wiring both into the daemon. On the standby it intercepts
 //!   `Replicate` and `Promote`; `Promote` rebuilds a full

@@ -16,8 +16,10 @@ use crate::failpoint;
 /// The journal copy is the source of truth — [`StandbyCore::promote`]
 /// rebuilds the serving [`Session`] from it through the same
 /// [`Session::recover`] path a `--recover` restart uses, so a promoted
-/// standby is byte-identical to a recovered primary. The live replica
-/// exists to keep promotion cheap and to cross-check the recovery.
+/// standby is byte-identical to a recovered primary, and promotion costs
+/// a full recovery (snapshot restore plus journal-tail replay). The live
+/// replica does not shorten that: it refuses shipped events it cannot
+/// step, and cross-checks the recovered cursor.
 #[derive(Debug)]
 pub struct StandbyCore {
     cfg: ServeConfig,
@@ -147,10 +149,11 @@ impl StandbyCore {
     ///
     /// # Errors
     ///
-    /// [`ServeError::State`] on gaps, unparseable lines or filesystem
-    /// failures; [`ServeError::Io`] when the `repl.apply` failpoint
-    /// fires. After an error the journal handle is dropped and the next
-    /// apply resynchronizes from the durable file.
+    /// [`ServeError::State`] on gaps, unparseable lines, events the
+    /// replica cannot step, or filesystem failures; [`ServeError::Io`]
+    /// when the `repl.apply` failpoint fires. After an error past the
+    /// parse check the journal handle is dropped and the next apply
+    /// resynchronizes from the durable file.
     pub fn apply(&mut self, base: u64, lines: &[String]) -> Result<u64, ServeError> {
         failpoint("repl.apply")?;
         if self.journal.is_none() {
@@ -185,7 +188,13 @@ impl StandbyCore {
             return Err(ServeError::state(e.to_string()));
         }
         for record in records {
-            self.replica.apply(record)?;
+            if let Err(e) = self.replica.apply(record) {
+                // The lines are durable but the replica stopped partway
+                // through them: resync from the file on the next apply
+                // rather than append the same lines again.
+                self.journal = None;
+                return Err(e);
+            }
         }
         self.lines += fresh.len() as u64;
         tacc_obs::counter_add("ha.replicated", fresh.len() as u64);

@@ -6,11 +6,12 @@
 use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
+use tacc_chaos::{journal_line_count, Journal, JournalRecord};
 use tacc_ha::{JournalTail, StandbyCore};
 use tacc_proto::Response;
 use tacc_runtime::RuntimeConfig;
 use tacc_serve::{ServeConfig, Session};
-use tacc_workload::{TopologyFamily, Trace, TraceGenerator, TraceScenario};
+use tacc_workload::{TimedEvent, TopologyFamily, Trace, TraceEvent, TraceGenerator, TraceScenario};
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("tacc-ha-repl-{name}-{}", std::process::id()));
@@ -121,6 +122,48 @@ fn duplicate_reships_are_idempotent_and_gaps_are_typed() {
     // A gap is refused loudly, never papered over.
     let err = standby.apply(acked + 5, &lines).unwrap_err();
     assert!(err.to_string().contains("gap"), "gap must be a typed error, got: {err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_line_the_replica_cannot_step_is_journaled_once() {
+    let dir = temp_dir("unsteppable");
+    let trace = scripted_trace(TopologyFamily::RandomGeometric, 77);
+    let journal = dir.join("primary.jsonl");
+    let cfg = ServeConfig { journal: Some(journal.clone()), ..ServeConfig::default() };
+    let standby_journal = dir.join("standby.jsonl");
+    let standby_cfg =
+        ServeConfig { journal: Some(standby_journal.clone()), ..ServeConfig::default() };
+
+    let mut primary = Session::start(shell(&trace), RuntimeConfig::default(), &cfg).unwrap();
+    primary.push(trace.events[..8].to_vec(), 1).unwrap();
+    primary.flush().unwrap();
+    let lines = JournalTail::new(&journal).poll().unwrap();
+    let mut standby = StandbyCore::new(&standby_cfg).unwrap();
+    let held = standby.apply(0, &lines).unwrap();
+
+    // The next event of the timeline: a CRC-framed, well-formed record
+    // whose link lies past the topology, so the replica cannot step it.
+    let bad_path = dir.join("bad.jsonl");
+    Journal::create_raw(&bad_path)
+        .unwrap()
+        .append(&JournalRecord::Event {
+            index: 8,
+            timed: TimedEvent {
+                time_ms: trace.events[7].time_ms + 1.0,
+                event: TraceEvent::LinkLatencyDrift { link: 1_000_000, latency_ms: 1.0 },
+            },
+        })
+        .unwrap();
+    let bad = vec![std::fs::read_to_string(&bad_path).unwrap().trim_end().to_owned()];
+
+    // Re-shipping it after each refusal must neither duplicate the line
+    // in the standby's copy nor ever be acknowledged.
+    for attempt in 0..3 {
+        let err = standby.apply(held, &bad).unwrap_err();
+        assert!(err.to_string().contains("link 1000000"), "attempt {attempt}: {err}");
+    }
+    assert_eq!(journal_line_count(&standby_journal).unwrap(), held + 1);
     std::fs::remove_dir_all(&dir).ok();
 }
 

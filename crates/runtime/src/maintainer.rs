@@ -3,12 +3,16 @@
 //! [`DelayMaintainer`] owns one [`SsspTree`] per edge server plus the
 //! effective per-link cost array, and repairs both in place as link
 //! latencies drift and servers fail or recover. In incremental mode only
-//! the shortest-path trees actually affected by a change are re-relaxed
-//! (debug builds — and release builds running under `TACC_CHECK=1`, see
-//! [`crate::check`] — assert agreement with a from-scratch Dijkstra
-//! after every repair); the full-recompute fallback rebuilds every tree
-//! on every change and serves as the correctness oracle and worst-case
-//! bound.
+//! the shortest-path trees actually affected by a change are re-relaxed,
+//! and only the matrix entries of the IoT nodes a repair touched are
+//! rewritten; each step reports those `(row, column)` entries so the
+//! runtime can patch its cluster's copy the same way. Debug builds — and
+//! release builds running under `TACC_CHECK=1`, see [`crate::check`] —
+//! assert after every repair that each tree agrees with a from-scratch
+//! Dijkstra and the patched matrix with a full read-out of the trees.
+//! The full-recompute fallback rebuilds every tree on every change,
+//! re-reads the whole matrix, and serves as the correctness oracle and
+//! worst-case bound.
 //!
 //! Server failure is modeled as *node* failure (matching
 //! [`tacc_topology::Topology::with_failed_node`]): every link incident to
@@ -73,6 +77,10 @@ impl DelayMaintainer {
         columns: &[usize],
     ) -> Self {
         assert!(!columns.is_empty(), "a maintainer needs at least one server column");
+        debug_assert!(
+            topology.iot_nodes().windows(2).all(|w| w[0] < w[1]),
+            "row lookup binary-searches the IoT nodes"
+        );
         let graph = topology.graph();
         let base_costs: Vec<f64> =
             graph.links().map(|(_, link)| model.link_delay_ms(link)).collect();
@@ -140,13 +148,21 @@ impl DelayMaintainer {
 
     /// Applies a latency drift that the caller has already written into
     /// `topology` (via [`Topology::set_link_latency`]). Returns the repair
-    /// work performed.
+    /// work performed and appends to `changed` the `(row, column)`
+    /// matrix entries it rewrote — possibly with repeats, and possibly
+    /// entries whose value came out the same. Every entry it leaves out
+    /// is unchanged.
     ///
     /// # Panics
     ///
     /// Panics if `link` does not belong to the topology the maintainer
     /// was built from.
-    pub fn drift(&mut self, topology: &Topology, link: LinkId) -> UpdateStats {
+    pub fn drift(
+        &mut self,
+        topology: &Topology,
+        link: LinkId,
+        changed: &mut Vec<(usize, usize)>,
+    ) -> UpdateStats {
         let new_base = self.model.link_delay_ms(topology.graph().link(link));
         self.base_costs[link.index()] = new_base;
         if self.disabled[link.index()] > 0 {
@@ -156,36 +172,49 @@ impl DelayMaintainer {
         }
         let old = self.costs[link.index()];
         self.costs[link.index()] = new_base;
-        let stats = self.repair(topology, link, old);
-        self.matrix = matrix_from_trees(&self.trees, topology);
+        let stats = self.repair(topology, link, old, changed);
+        self.finish(topology, changed);
         stats
     }
 
     /// Fails a server: all links incident to its node become infinite.
     /// Idempotence is the caller's concern ([`DelayMaintainer::is_failed`]).
+    /// Reports rewritten entries into `changed` like
+    /// [`DelayMaintainer::drift`].
     ///
     /// # Panics
     ///
     /// Panics if `server` is out of range or already failed.
-    pub fn fail_server(&mut self, topology: &Topology, server: usize) -> UpdateStats {
+    pub fn fail_server(
+        &mut self,
+        topology: &Topology,
+        server: usize,
+        changed: &mut Vec<(usize, usize)>,
+    ) -> UpdateStats {
         assert!(!self.failed[server], "server {server} is already failed");
         self.failed[server] = true;
-        let stats = self.set_incident_links(topology, server, true);
-        self.matrix = matrix_from_trees(&self.trees, topology);
+        let stats = self.set_incident_links(topology, server, true, changed);
+        self.finish(topology, changed);
         stats
     }
 
     /// Recovers a failed server: incident links whose other endpoint is
-    /// alive return to their base cost.
+    /// alive return to their base cost. Reports rewritten entries into
+    /// `changed` like [`DelayMaintainer::drift`].
     ///
     /// # Panics
     ///
     /// Panics if `server` is out of range or not failed.
-    pub fn recover_server(&mut self, topology: &Topology, server: usize) -> UpdateStats {
+    pub fn recover_server(
+        &mut self,
+        topology: &Topology,
+        server: usize,
+        changed: &mut Vec<(usize, usize)>,
+    ) -> UpdateStats {
         assert!(self.failed[server], "server {server} is not failed");
         self.failed[server] = false;
-        let stats = self.set_incident_links(topology, server, false);
-        self.matrix = matrix_from_trees(&self.trees, topology);
+        let stats = self.set_incident_links(topology, server, false, changed);
+        self.finish(topology, changed);
         stats
     }
 
@@ -199,6 +228,7 @@ impl DelayMaintainer {
         topology: &Topology,
         server: usize,
         disable: bool,
+        changed: &mut Vec<(usize, usize)>,
     ) -> UpdateStats {
         // Column space, not topology space: a scoped maintainer's
         // column `server` may sit on any topology server node.
@@ -220,36 +250,78 @@ impl DelayMaintainer {
                 self.costs[idx] = self.base_costs[idx];
             }
             if self.costs[idx] != old {
-                total.absorb(self.repair(topology, link, old));
+                total.absorb(self.repair(topology, link, old, changed));
             }
         }
         total
     }
 
     /// Repairs every tree after `costs[link]` changed from `old_cost`,
-    /// honoring the full-recompute fallback mode.
-    fn repair(&mut self, topology: &Topology, link: LinkId, old_cost: f64) -> UpdateStats {
+    /// honoring the full-recompute fallback mode. In incremental mode it
+    /// also patches the matrix entries of the IoT nodes each repair
+    /// touched (found by binary search: [`Topology::new`] lists IoT
+    /// nodes in ascending id order) and appends them to `changed`.
+    fn repair(
+        &mut self,
+        topology: &Topology,
+        link: LinkId,
+        old_cost: f64,
+        changed: &mut Vec<(usize, usize)>,
+    ) -> UpdateStats {
         let graph = topology.graph();
+        let iot = topology.iot_nodes();
+        let mut touched = Vec::new();
         let mut total = UpdateStats::default();
-        for tree in &mut self.trees {
+        for (column, tree) in self.trees.iter_mut().enumerate() {
             if self.full_mode {
                 total.absorb(tree.rebuild(graph, &self.costs));
-            } else {
-                total.absorb(tree.apply_cost_change(graph, &self.costs, link, old_cost));
-                // The full-recompute oracle: always in debug builds, and
-                // in release builds when TACC_CHECK=1 — so an
-                // incremental-repair drift bug cannot hide behind
-                // `--release` (see `crate::check`).
-                if cfg!(debug_assertions) || crate::check::enabled() {
-                    assert!(
-                        tree.matches_full(graph, &self.costs),
-                        "incremental repair diverged from full Dijkstra for server at {:?}",
-                        tree.source()
-                    );
+                continue;
+            }
+            total.absorb(tree.apply_cost_change(graph, &self.costs, link, old_cost, &mut touched));
+            // The full-recompute oracle: always in debug builds, and
+            // in release builds when TACC_CHECK=1 — so an
+            // incremental-repair drift bug cannot hide behind
+            // `--release` (see `crate::check`).
+            if cfg!(debug_assertions) || crate::check::enabled() {
+                assert!(
+                    tree.matches_full(graph, &self.costs),
+                    "incremental repair diverged from full Dijkstra for server at {:?}",
+                    tree.source()
+                );
+            }
+            // Routers and servers have no row; only IoT nodes do.
+            for &node in &touched {
+                if let Ok(row) = iot.binary_search(&node) {
+                    self.matrix.set(row, column, tree.distance(node));
+                    changed.push((row, column));
                 }
             }
         }
         total
+    }
+
+    /// Completes one event's matrix update. Full mode re-reads the whole
+    /// matrix out of its rebuilt trees and lists every entry that moved;
+    /// incremental mode has patched its entries already, and checks them
+    /// against that same read-out where the tree oracle runs.
+    fn finish(&mut self, topology: &Topology, changed: &mut Vec<(usize, usize)>) {
+        if self.full_mode {
+            let fresh = matrix_from_trees(&self.trees, topology);
+            for row in 0..fresh.num_iot() {
+                let (old, new) = (self.matrix.row(row), fresh.row(row));
+                for (column, (a, b)) in old.iter().zip(new).enumerate() {
+                    if a.to_bits() != b.to_bits() {
+                        changed.push((row, column));
+                    }
+                }
+            }
+            self.matrix = fresh;
+        } else if cfg!(debug_assertions) || crate::check::enabled() {
+            assert!(
+                self.matrix == matrix_from_trees(&self.trees, topology),
+                "patched delay matrix diverged from a full read-out of its trees"
+            );
+        }
     }
 
     /// Correctness oracle: the maintained matrix must equal the one
@@ -293,7 +365,7 @@ impl DelayMaintainer {
 
 /// The maintainer answers delay queries straight from its per-server
 /// shortest-path trees — the same values as [`DelayMaintainer::matrix`]
-/// (the matrix *is* read out of the trees after every event), but
+/// (the matrix is patched from the trees after every event), but
 /// available per entry without touching the materialized matrix. Online
 /// paths that only need a sliver of the matrix (one event's device, one
 /// query's sub-instance) go through this impl.
@@ -315,9 +387,11 @@ impl DelayOracle for DelayMaintainer {
     }
 }
 
-/// Reads the matrix out of the trees. Columns of failed servers come out
-/// infinite because all their incident links do. Column nodes come from
-/// the tree sources, so scoped maintainers get exactly their columns.
+/// Reads the whole matrix out of the trees: at construction, on every
+/// full-mode event, and as the oracle for patched ones. Columns of failed
+/// servers come out infinite because all their incident links do. Column
+/// nodes come from the tree sources, so scoped maintainers get exactly
+/// their columns.
 fn matrix_from_trees(trees: &[SsspTree], topology: &Topology) -> DelayMatrix {
     let rows: Vec<Vec<f64>> = topology
         .iot_nodes()
@@ -363,7 +437,7 @@ mod tests {
         for (step, raw) in [(0usize, 9.0f64), (3, 0.1), (7, 4.5), (3, 2.0)] {
             let link = topo.graph().link_id(step % topo.graph().link_count());
             topo.set_link_latency(link, raw).unwrap();
-            maintainer.drift(&topo, link);
+            maintainer.drift(&topo, link, &mut Vec::new());
             assert_eq!(maintainer.matrix(), &topo.delay_matrix(&model), "after drift to {raw}");
         }
     }
@@ -375,7 +449,7 @@ mod tests {
         let mut maintainer = DelayMaintainer::new(&topo, model.clone(), false);
         let before = maintainer.matrix().clone();
 
-        maintainer.fail_server(&topo, 1);
+        maintainer.fail_server(&topo, 1, &mut Vec::new());
         assert!(maintainer.is_failed(1));
         assert_eq!(maintainer.alive_count(), 3);
         // The failed column is unreachable for every device.
@@ -384,7 +458,7 @@ mod tests {
         }
         assert!(maintainer.matches_full_recompute(&topo));
 
-        maintainer.recover_server(&topo, 1);
+        maintainer.recover_server(&topo, 1, &mut Vec::new());
         assert_eq!(maintainer.matrix(), &before, "recovery restores the original matrix");
     }
 
@@ -393,12 +467,12 @@ mod tests {
         let topo = topology();
         let mut maintainer = DelayMaintainer::new(&topo, DelayModel::default(), false);
         let before = maintainer.matrix().clone();
-        maintainer.fail_server(&topo, 0);
-        maintainer.fail_server(&topo, 2);
+        maintainer.fail_server(&topo, 0, &mut Vec::new());
+        maintainer.fail_server(&topo, 2, &mut Vec::new());
         assert!(maintainer.matches_full_recompute(&topo));
-        maintainer.recover_server(&topo, 0);
+        maintainer.recover_server(&topo, 0, &mut Vec::new());
         assert!(maintainer.matches_full_recompute(&topo));
-        maintainer.recover_server(&topo, 2);
+        maintainer.recover_server(&topo, 2, &mut Vec::new());
         assert_eq!(maintainer.matrix(), &before);
     }
 
@@ -410,12 +484,12 @@ mod tests {
         let node = topo.server_nodes()[2];
         let link = topo.graph().neighbors(node)[0].link;
 
-        maintainer.fail_server(&topo, 2);
+        maintainer.fail_server(&topo, 2, &mut Vec::new());
         topo.set_link_latency(link, 50.0).unwrap();
-        let stats = maintainer.drift(&topo, link);
+        let stats = maintainer.drift(&topo, link, &mut Vec::new());
         assert_eq!(stats, UpdateStats::default(), "failed link drift does no tree work");
 
-        maintainer.recover_server(&topo, 2);
+        maintainer.recover_server(&topo, 2, &mut Vec::new());
         assert_eq!(maintainer.matrix(), &topo.delay_matrix(&model));
     }
 
@@ -431,8 +505,8 @@ mod tests {
             let link_b = topo_b.graph().link_id(step * 3 % link_count);
             topo_a.set_link_latency(link_a, 1.0 + step as f64).unwrap();
             topo_b.set_link_latency(link_b, 1.0 + step as f64).unwrap();
-            let inc_stats = inc.drift(&topo_a, link_a);
-            let full_stats = full.drift(&topo_b, link_b);
+            let inc_stats = inc.drift(&topo_a, link_a, &mut Vec::new());
+            let full_stats = full.drift(&topo_b, link_b, &mut Vec::new());
             assert_eq!(inc.matrix(), full.matrix());
             assert!(
                 inc_stats.settled <= full_stats.settled,
@@ -448,8 +522,8 @@ mod tests {
         let mut maintainer = DelayMaintainer::new(&topo, model, false);
         let link = topo.graph().link_id(1);
         topo.set_link_latency(link, 3.75).unwrap();
-        maintainer.drift(&topo, link);
-        maintainer.fail_server(&topo, 2);
+        maintainer.drift(&topo, link, &mut Vec::new());
+        maintainer.fail_server(&topo, 2, &mut Vec::new());
         let matrix = maintainer.matrix();
         assert_eq!(DelayOracle::num_iot(&maintainer), matrix.num_iot());
         assert_eq!(DelayOracle::num_servers(&maintainer), matrix.num_servers());
@@ -502,21 +576,70 @@ mod tests {
 
         let link = topo.graph().link_id(2);
         topo.set_link_latency(link, 6.5).unwrap();
-        full.drift(&topo, link);
-        scoped.drift(&topo, link);
+        full.drift(&topo, link, &mut Vec::new());
+        scoped.drift(&topo, link, &mut Vec::new());
         check(&full, &scoped, "after drift");
 
         // Server 3 is column 0 of the scoped maintainer.
-        full.fail_server(&topo, 3);
-        scoped.fail_server(&topo, 0);
+        full.fail_server(&topo, 3, &mut Vec::new());
+        scoped.fail_server(&topo, 0, &mut Vec::new());
         assert!(scoped.is_failed(0));
         assert!(scoped.matches_full_recompute(&topo));
         check(&full, &scoped, "after failure");
 
-        full.recover_server(&topo, 3);
-        scoped.recover_server(&topo, 0);
+        full.recover_server(&topo, 3, &mut Vec::new());
+        scoped.recover_server(&topo, 0, &mut Vec::new());
         assert!(scoped.matches_full_recompute(&topo));
         check(&full, &scoped, "after recovery");
+    }
+
+    /// Every entry a step leaves out of its `changed` list keeps its
+    /// bits, and every listed entry is in range — in both modes.
+    #[test]
+    fn changed_lists_cover_every_moved_entry() {
+        for full_mode in [false, true] {
+            let mut topo = topology();
+            let mut maintainer = DelayMaintainer::new(&topo, DelayModel::default(), full_mode);
+            let link_count = topo.graph().link_count();
+            for step in 0..12 {
+                let before = maintainer.matrix().clone();
+                let mut changed = Vec::new();
+                match step % 4 {
+                    0 | 2 => {
+                        let link = topo.graph().link_id(step * 7 % link_count);
+                        topo.set_link_latency(link, 0.5 + step as f64).unwrap();
+                        maintainer.drift(&topo, link, &mut changed);
+                    }
+                    1 => {
+                        maintainer.fail_server(&topo, 1, &mut changed);
+                    }
+                    _ => {
+                        maintainer.recover_server(&topo, 1, &mut changed);
+                    }
+                }
+                let after = maintainer.matrix();
+                assert!(maintainer.matches_full_recompute(&topo), "step {step}");
+                let mut listed = vec![false; after.num_iot() * after.num_servers()];
+                for &(i, j) in &changed {
+                    assert!(i < after.num_iot() && j < after.num_servers(), "step {step}");
+                    listed[i * after.num_servers() + j] = true;
+                }
+                for i in 0..after.num_iot() {
+                    for j in 0..after.num_servers() {
+                        if !listed[i * after.num_servers() + j] {
+                            assert_eq!(
+                                before.get(i, j).to_bits(),
+                                after.get(i, j).to_bits(),
+                                "full {full_mode}, step {step}: ({i}, {j}) moved unlisted"
+                            );
+                        }
+                    }
+                }
+                if step % 4 == 1 {
+                    assert!(!changed.is_empty(), "a failure blanks a whole column");
+                }
+            }
+        }
     }
 
     #[test]
@@ -525,8 +648,8 @@ mod tests {
         let mut maintainer = DelayMaintainer::new(&topo, DelayModel::default(), false);
         let link = topo.graph().link_id(2);
         topo.set_link_latency(link, 7.25).unwrap();
-        maintainer.drift(&topo, link);
-        maintainer.fail_server(&topo, 3);
+        maintainer.drift(&topo, link, &mut Vec::new());
+        maintainer.fail_server(&topo, 3, &mut Vec::new());
 
         let json = serde_json::to_string(&maintainer).unwrap();
         let value = serde_json::from_str(&json).unwrap();

@@ -311,12 +311,13 @@ impl Runtime {
                     return Ok(());
                 }
                 self.metrics.core.events.count(event);
+                let mut changed = Vec::new();
                 let stats = {
                     let _span = tacc_obs::span!("repair");
-                    self.maintainer.fail_server(&self.topology, server)
+                    self.maintainer.fail_server(&self.topology, server, &mut changed)
                 };
                 self.account_delay_update(stats);
-                self.push_delays();
+                self.push_delays(&changed);
                 self.evacuate(server);
             }
             TraceEvent::ServerRecover { server } => {
@@ -325,12 +326,13 @@ impl Runtime {
                     return Ok(());
                 }
                 self.metrics.core.events.count(event);
+                let mut changed = Vec::new();
                 let stats = {
                     let _span = tacc_obs::span!("repair");
-                    self.maintainer.recover_server(&self.topology, server)
+                    self.maintainer.recover_server(&self.topology, server, &mut changed)
                 };
                 self.account_delay_update(stats);
-                self.push_delays();
+                self.push_delays(&changed);
                 self.rebalance_budgeted();
                 self.readmit();
             }
@@ -349,12 +351,13 @@ impl Runtime {
                     .set_link_latency(id, latency_ms)
                     .map_err(|e| RuntimeError::InvalidEvent { index, reason: e.to_string() })?;
                 self.metrics.core.events.count(event);
+                let mut changed = Vec::new();
                 let stats = {
                     let _span = tacc_obs::span!("repair");
-                    self.maintainer.drift(&self.topology, id)
+                    self.maintainer.drift(&self.topology, id, &mut changed)
                 };
                 self.account_delay_update(stats);
-                self.push_delays();
+                self.push_delays(&changed);
                 self.rebalance_budgeted();
             }
         }
@@ -371,11 +374,15 @@ impl Runtime {
         self.metrics.core.full_equivalent_work.absorb(self.maintainer.full_rebuild_baseline());
     }
 
-    /// Propagates the maintained matrix into the cluster's instance.
-    fn push_delays(&mut self) {
-        self.cluster
-            .update_delays(self.maintainer.matrix().clone())
-            .expect("maintained matrix has the instance's dimensions");
+    /// Copies the maintained matrix entries a repair rewrote into the
+    /// cluster's instance; every other entry already agrees.
+    fn push_delays(&mut self, changed: &[(usize, usize)]) {
+        let matrix = self.maintainer.matrix();
+        for &(device, server) in changed {
+            self.cluster
+                .set_delay(device, server, matrix.get(device, server))
+                .expect("maintained delays are never NaN or negative");
+        }
     }
 
     /// Moves every device off a failed server, highest priority first.

@@ -19,7 +19,9 @@
 //! Costs live in an external per-link array so callers can disable
 //! links (server failure) without mutating the [`Graph`]. Every
 //! operation reports [`UpdateStats`] — the runtime uses them to report
-//! incremental-vs-full work savings.
+//! incremental-vs-full work savings — and a repair also lists the nodes
+//! whose distance it wrote, so a caller holding a matrix read out of the
+//! tree patches only those entries.
 //!
 //! The distances produced are *exactly* (bit-for-bit) those of a fresh
 //! [`dijkstra`](crate::shortest_path::dijkstra) run: both compute each
@@ -104,8 +106,10 @@ impl PartialOrd for HeapEntry {
 /// assert_eq!(tree.distance(c), 2.0);
 ///
 /// costs[ab.index()] = 5.0; // drift on a—b
-/// tree.apply_cost_change(&g, &costs, ab, 1.0);
+/// let mut touched = Vec::new();
+/// tree.apply_cost_change(&g, &costs, ab, 1.0, &mut touched);
 /// assert_eq!(tree.distance(c), 6.0);
+/// assert_eq!(touched, vec![b, c]); // a's distance was never written
 /// assert!(tree.matches_full(&g, &costs));
 /// # Ok(())
 /// # }
@@ -167,7 +171,7 @@ impl SsspTree {
         self.dist[self.source.index()] = 0.0;
         let mut heap = BinaryHeap::new();
         heap.push(HeapEntry { cost: 0.0, node: self.source });
-        self.run_dijkstra(graph, costs, heap)
+        self.run_dijkstra(graph, costs, heap, None)
     }
 
     /// Repairs the tree after the cost of `changed` moved from
@@ -176,6 +180,11 @@ impl SsspTree {
     /// The cost array must already hold the new value. Raising a cost
     /// to `f64::INFINITY` removes the link from consideration (the
     /// failure primitive); lowering it from `f64::INFINITY` re-adds it.
+    ///
+    /// `touched` is cleared and then receives every node whose distance
+    /// the repair wrote, each once and in no particular order; a written
+    /// distance may equal the old one. Every other node keeps its
+    /// distance bit for bit.
     ///
     /// # Panics
     ///
@@ -187,8 +196,10 @@ impl SsspTree {
         costs: &[f64],
         changed: LinkId,
         old_cost: f64,
+        touched: &mut Vec<NodeId>,
     ) -> UpdateStats {
         self.check_dimensions(graph, costs);
+        touched.clear();
         let new_cost = costs[changed.index()];
         debug_assert!(
             new_cost >= 0.0,
@@ -198,16 +209,24 @@ impl SsspTree {
             return UpdateStats::default();
         }
         if new_cost < old_cost {
-            self.apply_decrease(graph, costs, changed)
+            self.apply_decrease(graph, costs, changed, touched)
         } else {
-            self.apply_increase(graph, costs, changed)
+            self.apply_increase(graph, costs, changed, touched)
         }
     }
 
     /// Cost went down: distances can only improve. Seed the heap with
     /// whichever endpoints improve through the cheaper link and
-    /// re-relax forward.
-    fn apply_decrease(&mut self, graph: &Graph, costs: &[f64], changed: LinkId) -> UpdateStats {
+    /// re-relax forward. Every distance written is pushed and later
+    /// settled at its final value, so the settled nodes are exactly the
+    /// touched ones.
+    fn apply_decrease(
+        &mut self,
+        graph: &Graph,
+        costs: &[f64],
+        changed: LinkId,
+        touched: &mut Vec<NodeId>,
+    ) -> UpdateStats {
         let link = graph.link(changed);
         let c = costs[changed.index()];
         let mut heap = BinaryHeap::new();
@@ -219,13 +238,21 @@ impl SsspTree {
                 heap.push(HeapEntry { cost: candidate, node: to });
             }
         }
-        self.run_dijkstra(graph, costs, heap)
+        self.run_dijkstra(graph, costs, heap, Some(touched))
     }
 
     /// Cost went up: only nodes whose tree path crosses the changed
     /// link can move. Invalidate that subtree, then re-grow it from
-    /// boundary candidates.
-    fn apply_increase(&mut self, graph: &Graph, costs: &[f64], changed: LinkId) -> UpdateStats {
+    /// boundary candidates. The subtree is the touched set: raising a
+    /// cost shortens no path, so the re-growth settles nothing outside
+    /// it.
+    fn apply_increase(
+        &mut self,
+        graph: &Graph,
+        costs: &[f64],
+        changed: LinkId,
+        touched: &mut Vec<NodeId>,
+    ) -> UpdateStats {
         let link = graph.link(changed);
         // The child endpoint is the one that reaches its parent through
         // the changed link. If neither endpoint does, no shortest path
@@ -239,12 +266,14 @@ impl SsspTree {
         };
 
         // Collect the subtree under `child` (its tree path uses the
-        // changed link). One pass over the adjacency of invalidated
-        // nodes; membership spreads along parent links.
+        // changed link) straight into `touched`. One pass over the
+        // adjacency of invalidated nodes; membership spreads along
+        // parent links.
         let mut invalid = vec![false; self.dist.len()];
         invalid[child.index()] = true;
         let mut frontier = vec![child];
-        let mut subtree = vec![child];
+        let subtree = touched;
+        subtree.push(child);
         while let Some(u) = frontier.pop() {
             for nb in graph.neighbors(u) {
                 let v = nb.node;
@@ -256,7 +285,7 @@ impl SsspTree {
             }
         }
         let mut stats = UpdateStats::default();
-        for &v in &subtree {
+        for &v in subtree.iter() {
             self.dist[v.index()] = f64::INFINITY;
             self.parent_link[v.index()] = None;
         }
@@ -265,7 +294,7 @@ impl SsspTree {
         // through some link from a still-valid node (the changed link
         // itself included, at its new cost).
         let mut heap = BinaryHeap::new();
-        for &v in &subtree {
+        for &v in subtree.iter() {
             for nb in graph.neighbors(v) {
                 stats.edges_scanned += 1;
                 let u = nb.node;
@@ -280,16 +309,18 @@ impl SsspTree {
                 }
             }
         }
-        stats.absorb(self.run_dijkstra(graph, costs, heap));
+        stats.absorb(self.run_dijkstra(graph, costs, heap, None));
         stats
     }
 
-    /// Standard relaxation loop over an already-seeded heap.
+    /// Standard relaxation loop over an already-seeded heap; each
+    /// settled node is appended to `settled` when one is given.
     fn run_dijkstra(
         &mut self,
         graph: &Graph,
         costs: &[f64],
         mut heap: BinaryHeap<HeapEntry>,
+        mut settled: Option<&mut Vec<NodeId>>,
     ) -> UpdateStats {
         let mut stats = UpdateStats::default();
         while let Some(HeapEntry { cost, node }) = heap.pop() {
@@ -297,6 +328,9 @@ impl SsspTree {
                 continue; // stale entry
             }
             stats.settled += 1;
+            if let Some(settled) = settled.as_deref_mut() {
+                settled.push(node);
+            }
             for nb in graph.neighbors(node) {
                 stats.edges_scanned += 1;
                 let c = costs[nb.link.index()];
@@ -364,7 +398,7 @@ mod tests {
         let (g, mut costs) = diamond();
         let (mut tree, _) = SsspTree::build(&g, NodeId(0), &costs);
         costs[4] = 0.5; // chord n0—n2 now cheapest
-        tree.apply_cost_change(&g, &costs, LinkId(4), 5.0);
+        tree.apply_cost_change(&g, &costs, LinkId(4), 5.0, &mut Vec::new());
         assert_eq!(tree.distance(NodeId(2)), 0.5);
         assert!(tree.matches_full(&g, &costs));
     }
@@ -374,7 +408,7 @@ mod tests {
         let (g, mut costs) = diamond();
         let (mut tree, _) = SsspTree::build(&g, NodeId(0), &costs);
         costs[4] = 50.0; // chord is not a tree edge
-        let stats = tree.apply_cost_change(&g, &costs, LinkId(4), 5.0);
+        let stats = tree.apply_cost_change(&g, &costs, LinkId(4), 5.0, &mut Vec::new());
         assert_eq!(stats, UpdateStats::default());
         assert!(tree.matches_full(&g, &costs));
     }
@@ -385,7 +419,7 @@ mod tests {
         let (mut tree, _) = SsspTree::build(&g, NodeId(0), &costs);
         // n1 is reached via link 0; raising it reroutes n1 through n2.
         costs[0] = 10.0;
-        tree.apply_cost_change(&g, &costs, LinkId(0), 1.0);
+        tree.apply_cost_change(&g, &costs, LinkId(0), 1.0, &mut Vec::new());
         assert_eq!(tree.distance(NodeId(1)), 3.0); // n0→n3→n2→n1
         assert!(tree.matches_full(&g, &costs));
     }
@@ -397,12 +431,12 @@ mod tests {
         let before = tree.clone();
 
         costs[0] = f64::INFINITY;
-        tree.apply_cost_change(&g, &costs, LinkId(0), 1.0);
+        tree.apply_cost_change(&g, &costs, LinkId(0), 1.0, &mut Vec::new());
         assert!(tree.matches_full(&g, &costs));
         assert_eq!(tree.distance(NodeId(1)), 3.0);
 
         costs[0] = 1.0;
-        tree.apply_cost_change(&g, &costs, LinkId(0), f64::INFINITY);
+        tree.apply_cost_change(&g, &costs, LinkId(0), f64::INFINITY, &mut Vec::new());
         assert!(tree.matches_full(&g, &costs));
         assert_eq!(tree.distances(), before.distances());
     }
@@ -419,7 +453,7 @@ mod tests {
         let (mut tree, _) = SsspTree::build(&g, a, &costs);
 
         costs[ab.index()] = f64::INFINITY;
-        tree.apply_cost_change(&g, &costs, ab, 1.0);
+        tree.apply_cost_change(&g, &costs, ab, 1.0, &mut Vec::new());
         assert!(tree.distance(b).is_infinite());
         assert!(tree.distance(c).is_infinite());
         assert!(tree.matches_full(&g, &costs));
@@ -429,7 +463,7 @@ mod tests {
     fn unchanged_cost_is_a_noop() {
         let (g, costs) = diamond();
         let (mut tree, _) = SsspTree::build(&g, NodeId(0), &costs);
-        let stats = tree.apply_cost_change(&g, &costs, LinkId(1), costs[1]);
+        let stats = tree.apply_cost_change(&g, &costs, LinkId(1), costs[1], &mut Vec::new());
         assert_eq!(stats, UpdateStats::default());
     }
 
@@ -453,6 +487,7 @@ mod tests {
         let (mut tree, _) = SsspTree::build(&g, nodes[0], &costs);
 
         let mut state = 0x1234_5678_u64;
+        let mut touched = Vec::new();
         for step in 0..200 {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             let idx = (state >> 33) as usize % costs.len();
@@ -466,9 +501,51 @@ mod tests {
             if costs[idx] == old {
                 continue;
             }
-            tree.apply_cost_change(&g, &costs, links[idx].0, old);
+            let before = tree.distances().to_vec();
+            let stats = tree.apply_cost_change(&g, &costs, links[idx].0, old, &mut touched);
             assert!(tree.matches_full(&g, &costs), "diverged at step {step}");
+
+            // The touched list names each written node once, and every
+            // node it leaves out kept its distance bit for bit.
+            let mut listed = vec![false; before.len()];
+            for node in &touched {
+                assert!(!listed[node.index()], "step {step}: {node} listed twice");
+                listed[node.index()] = true;
+            }
+            for (v, (&was, &now)) in before.iter().zip(tree.distances()).enumerate() {
+                if !listed[v] {
+                    assert_eq!(was.to_bits(), now.to_bits(), "step {step}: n{v} moved untouched");
+                }
+            }
+            if costs[idx] < old {
+                assert_eq!(touched.len() as u64, stats.settled, "step {step}: decrease settles");
+            }
         }
+    }
+
+    #[test]
+    fn touched_lists_exactly_the_rewritten_nodes() {
+        let (g, mut costs) = diamond();
+        let (mut tree, _) = SsspTree::build(&g, NodeId(0), &costs);
+        let mut touched = vec![NodeId(3)]; // stale content is cleared
+
+        // n2 is reached through n1 (the lower index wins the tie), so
+        // raising link 0 rewrites the subtree n1, n2 and nothing else.
+        costs[0] = 10.0;
+        tree.apply_cost_change(&g, &costs, LinkId(0), 1.0, &mut touched);
+        assert_eq!(touched, vec![NodeId(1), NodeId(2)]);
+
+        // The chord is off the tree: raising it touches nothing.
+        costs[4] = 50.0;
+        tree.apply_cost_change(&g, &costs, LinkId(4), 5.0, &mut touched);
+        assert!(touched.is_empty());
+
+        // Lowering link 0 back re-settles n1 only: n2 ties at 2 and
+        // keeps its route through n3.
+        costs[0] = 1.0;
+        let stats = tree.apply_cost_change(&g, &costs, LinkId(0), 10.0, &mut touched);
+        assert_eq!(touched, vec![NodeId(1)]);
+        assert_eq!(stats.settled, 1);
     }
 
     #[test]
