@@ -1,11 +1,10 @@
 //! Criterion micro-bench: serial vs parallel delay-matrix derivation.
 //!
 //! Pins the speedup claim of the `tacc-par` layer: the per-server SSSP
-//! fan-out in [`Topology::delay_matrix`] against the single-threaded
-//! reference lane, at explicit worker counts. Both lanes run the same
-//! cached-cost CSR kernel, so the ratio isolates the scheduling overhead
-//! (1 worker) and the scaling (N workers) — outputs are bit-for-bit
-//! identical either way.
+//! fan-out in [`Topology::delay_matrix`] at explicit worker counts,
+//! next to the serial adjacency-list Dijkstra reference lane. The
+//! `par1` lane isolates the scheduling overhead and `parN` the scaling;
+//! outputs are bit-for-bit identical in every lane.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::SeedableRng;

@@ -1,10 +1,9 @@
 //! Criterion micro-bench: the two `tacc-fast` hot-path kernels.
 //!
-//! Lane 1 — SSSP: binary-heap Dijkstra vs the bucket-queue kernel on the
-//! same CSR snapshot, per-server sweep over the full fan-out. Both lanes
-//! produce bit-identical distances (property-tested in
-//! `topology/tests/fast_kernels.rs`), so the ratio isolates the queue
-//! discipline.
+//! Lane 1 — SSSP: the bucket-queue kernel on a CSR snapshot, one
+//! per-server sweep over the full fan-out. Its distances are
+//! bit-identical to the adjacency-list Dijkstra (property-tested in
+//! `topology/tests/par_equivalence.rs`).
 //!
 //! Lane 2 — move evaluation: delta-objective probing via
 //! [`tacc_gap::DeltaEval`] vs full-solution rescoring through
@@ -39,19 +38,11 @@ fn bench_sssp_kernels(c: &mut Criterion) {
         let topo = topology(n, m, 32);
         let csr = CsrGraph::from_graph(topo.graph(), |l| model.link_delay_ms(l));
         let servers = topo.server_nodes().to_vec();
-        group.bench_with_input(BenchmarkId::new("heap", format!("{n}x{m}")), &n, |b, _| {
-            let mut scratch = SsspScratch::new();
-            b.iter(|| {
-                for &s in &servers {
-                    black_box(csr.sssp_heap_into(s, &mut scratch));
-                }
-            });
-        });
         group.bench_with_input(BenchmarkId::new("bucket", format!("{n}x{m}")), &n, |b, _| {
             let mut scratch = SsspScratch::new();
             b.iter(|| {
                 for &s in &servers {
-                    black_box(csr.sssp_bucket_into(s, &mut scratch));
+                    black_box(csr.sssp_into(s, &mut scratch));
                 }
             });
         });

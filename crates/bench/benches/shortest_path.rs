@@ -6,7 +6,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
 use tacc_topology::generators::{RandomGeometric, TopologyGenerator};
-use tacc_topology::shortest_path::{dijkstra, floyd_warshall};
+use tacc_topology::shortest_path::dijkstra;
 use tacc_topology::{DelayModel, Topology};
 
 fn topology(num_iot: usize, num_servers: usize, routers: usize) -> Topology {
@@ -49,17 +49,5 @@ fn bench_delay_matrix(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_floyd_warshall(c: &mut Criterion) {
-    let mut group = c.benchmark_group("floyd_warshall");
-    for &(n, r) in &[(20usize, 8usize), (60, 16)] {
-        let topo = topology(n, 5, r);
-        let nodes = topo.graph().node_count();
-        group.bench_with_input(BenchmarkId::from_parameter(nodes), &nodes, |b, _| {
-            b.iter(|| black_box(floyd_warshall(topo.graph(), |l| l.latency_ms())));
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_dijkstra, bench_delay_matrix, bench_floyd_warshall);
+criterion_group!(benches, bench_dijkstra, bench_delay_matrix);
 criterion_main!(benches);

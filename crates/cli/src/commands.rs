@@ -1263,12 +1263,13 @@ fn drive_session(
 
 /// `tacc bench-report`
 ///
-/// Times the two hot paths the `tacc-par` layer accelerates — the
-/// per-server SSSP fan-out behind the delay matrix, and the solver
-/// portfolio — serial vs parallel, and writes one JSON report per path
-/// (`BENCH_delay_matrix.json`, `BENCH_solvers.json`) for tracking across
-/// revisions. The parallel lanes are bit-for-bit identical to the serial
-/// ones; the report records the check alongside the timings.
+/// Times two hot paths and writes one JSON report per path for tracking
+/// across revisions: the delay matrix (`BENCH_delay_matrix.json`), the
+/// production compressed-core lane against the adjacency-list Dijkstra
+/// reference, and the solver portfolio (`BENCH_solvers.json`), serial
+/// vs parallel, plus the zone decomposition against the global solve.
+/// Each fast lane is bit-for-bit identical to its reference; the report
+/// records the check alongside the timings.
 pub fn bench_report(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(argv)?;
     let out_dir = std::path::PathBuf::from(args.str_or("out", "."));
@@ -1334,30 +1335,23 @@ fn bench_delay_matrix(
             .build(2022)
             .map_err(|e| e.to_string())?;
         let topo = scenario.topology();
-        // The SSSP kernel the fast lane dispatches to on this snapshot
-        // (bucket queue unless the weight range is pathological).
-        let kernel = format!("compressed-{}", topo.compressed_core(&model).core().kernel_name());
-        let (serial_ms, serial) = best_of_ms(reps, || topo.delay_matrix_serial(&model));
-        let (heap_ms, heap) = best_of_ms(reps, || {
-            topo.delay_matrix_with_threads_kernel(
-                &model,
-                threads,
-                tacc_core::topology::MatrixKernel::FullHeap,
-            )
+        // The SSSP kernel the production lane dispatches to on this
+        // snapshot (bucket queue unless the weight range is
+        // pathological).
+        let core = tacc_core::topology::CompressedCore::from_graph(topo.graph(), |l| {
+            model.link_delay_ms(l)
         });
-        let (parallel_ms, parallel) =
+        let kernel = format!("compressed-{}", core.core().kernel_name());
+        let (serial_ms, serial) = best_of_ms(reps, || topo.delay_matrix_serial(&model));
+        let (bucket_ms, bucket) =
             best_of_ms(reps, || topo.delay_matrix_with_threads(&model, threads));
-        let identical = serial.iter().map(f64::to_bits).eq(parallel.iter().map(f64::to_bits))
-            && serial.iter().map(f64::to_bits).eq(heap.iter().map(f64::to_bits));
+        let identical = serial.iter().map(f64::to_bits).eq(bucket.iter().map(f64::to_bits));
         rows.push(serde_json::json!({
             "devices": devices,
             "servers": servers,
             "kernel": kernel,
             "serial_ms": serial_ms,
-            "heap_ms": heap_ms,
-            "bucket_ms": parallel_ms,
-            "parallel_ms": parallel_ms,
-            "speedup": serial_ms / parallel_ms,
+            "bucket_ms": bucket_ms,
             "identical": identical,
         }));
     }
@@ -1433,9 +1427,7 @@ fn bench_solvers(
         "speedup": serial_ms / parallel_ms,
         "identical": identical,
         "solvers": solvers,
-        "serve": bench_serve(quick, reps)?,
         "zones": bench_zones(quick, reps)?,
-        "ha": bench_ha(quick)?,
     }))
 }
 
@@ -1473,150 +1465,6 @@ fn bench_zones(quick: bool, reps: usize) -> Result<serde_json::Value, String> {
         "global_ms": global_ms,
         "objective_ratio": zoned.objective / global.objective,
         "identical_at_one_zone": one_zone.objective.to_bits() == global.objective.to_bits(),
-    }))
-}
-
-/// The high-availability section of `BENCH_solvers.json`: a full
-/// in-process primary → journal-tail → standby replication run under
-/// fixed seeds — per-burst replication lag percentiles (push durable on
-/// the primary → batch durable and applied on the standby) and the
-/// failover cost (promote + first answered query). The promoted state is
-/// deterministic; the `identical` field records the byte-compare against
-/// the primary's snapshot.
-fn bench_ha(quick: bool) -> Result<serde_json::Value, String> {
-    let (devices, servers, events) = if quick { (20, 4, 300) } else { (60, 8, 2000) };
-    let scenario = TraceScenario {
-        num_iot: devices,
-        num_servers: servers,
-        load_factor: 0.7,
-        seed: 2022,
-        ..TraceScenario::default()
-    };
-    let trace = TraceGenerator::new(scenario)
-        .num_events(events)
-        .generate(2022)
-        .map_err(|e| e.to_string())?;
-    let shell = Trace { events: Vec::new(), ..trace.clone() };
-
-    let dir = std::env::temp_dir().join(format!("tacc-bench-ha-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).map_err(|e| format!("creating `{}`: {e}", dir.display()))?;
-    let primary_journal = dir.join("primary.jsonl");
-    let standby_journal = dir.join("standby.jsonl");
-    std::fs::remove_file(&primary_journal).ok();
-    let primary_cfg = tacc_serve::ServeConfig {
-        journal: Some(primary_journal.clone()),
-        ..tacc_serve::ServeConfig::default()
-    };
-    let standby_cfg = tacc_serve::ServeConfig {
-        journal: Some(standby_journal),
-        ..tacc_serve::ServeConfig::default()
-    };
-
-    let config = RuntimeConfig { seed: 2022, ..RuntimeConfig::default() };
-    let mut primary =
-        tacc_serve::Session::start(shell, config, &primary_cfg).map_err(|e| e.to_string())?;
-    let mut tail = tacc_ha::JournalTail::new(&primary_journal);
-    let mut standby = tacc_ha::StandbyCore::new(&standby_cfg).map_err(|e| e.to_string())?;
-
-    // Per-burst replication lag: push durable on the primary, then tail
-    // + ship + standby fsync + apply — the window a failover could lose.
-    let mut shipped = 0u64;
-    let mut lags_ms: Vec<f64> = Vec::new();
-    for burst in trace.events.chunks(primary_cfg.batch_size) {
-        primary.push(burst.to_vec(), 0).map_err(|e| e.to_string())?;
-        let start = std::time::Instant::now();
-        let lines = tail.poll().map_err(|e| e.to_string())?;
-        if !lines.is_empty() {
-            shipped = standby.apply(shipped, &lines).map_err(|e| e.to_string())?;
-        }
-        lags_ms.push(start.elapsed().as_secs_f64() * 1e3);
-    }
-    primary.flush().map_err(|e| e.to_string())?;
-    let lines = tail.poll().map_err(|e| e.to_string())?;
-    if !lines.is_empty() {
-        standby.apply(shipped, &lines).map_err(|e| e.to_string())?;
-    }
-    lags_ms.sort_by(f64::total_cmp);
-    let pct = |q: f64| lags_ms[((lags_ms.len() - 1) as f64 * q).round() as usize];
-    let (repl_lag_p50_ms, repl_lag_p99_ms) = (pct(0.50), pct(0.99));
-
-    // Failover: promote the standby and answer the first query.
-    let primary_snapshot = primary.snapshot_json().map_err(|e| e.to_string())?;
-    let start = std::time::Instant::now();
-    let mut promoted = standby.promote().map_err(|e| e.to_string())?;
-    promoted.query(0).map_err(|e| e.to_string())?;
-    let failover_ms = start.elapsed().as_secs_f64() * 1e3;
-    let identical = promoted.snapshot_json().map_err(|e| e.to_string())? == primary_snapshot;
-    std::fs::remove_dir_all(&dir).ok();
-
-    Ok(serde_json::json!({
-        "devices": devices,
-        "servers": servers,
-        "events": events,
-        "seed": 2022u64,
-        "repl_lag_p50_ms": repl_lag_p50_ms,
-        "repl_lag_p99_ms": repl_lag_p99_ms,
-        "failover_ms": failover_ms,
-        "identical": identical,
-    }))
-}
-
-/// The control-plane section of `BENCH_solvers.json`: a full in-process
-/// serve session under fixed seeds — burst-ingest throughput and query
-/// latency percentiles. The state the daemon lands on is deterministic;
-/// only the timings vary run to run.
-fn bench_serve(quick: bool, reps: usize) -> Result<serde_json::Value, String> {
-    let (devices, servers, events) = if quick { (20, 4, 300) } else { (60, 8, 2000) };
-    let scenario = TraceScenario {
-        num_iot: devices,
-        num_servers: servers,
-        load_factor: 0.7,
-        seed: 2022,
-        ..TraceScenario::default()
-    };
-    let trace = TraceGenerator::new(scenario)
-        .num_events(events)
-        .generate(2022)
-        .map_err(|e| e.to_string())?;
-    let shell = Trace { events: Vec::new(), ..trace.clone() };
-    let config = RuntimeConfig { seed: 2022, ..RuntimeConfig::default() };
-    let cfg = tacc_serve::ServeConfig::default();
-
-    // Ingest: the whole trace in batch-size bursts, coalesced applies.
-    let (ingest_ms, _) = best_of_ms(reps, || {
-        let mut session =
-            tacc_serve::Session::start(shell.clone(), config.clone(), &cfg).expect("session");
-        for chunk in trace.events.chunks(cfg.batch_size) {
-            session.push(chunk.to_vec(), 0).expect("push");
-        }
-        session.flush().expect("flush");
-        session
-    });
-    let ingest_events_per_sec = events as f64 / (ingest_ms / 1e3);
-
-    // Query latency against the settled session.
-    let mut session = tacc_serve::Session::start(shell, config, &cfg).map_err(|e| e.to_string())?;
-    session.push(trace.events.clone(), 0).map_err(|e| e.to_string())?;
-    session.flush().map_err(|e| e.to_string())?;
-    let mut latencies_ms: Vec<f64> = (0..200)
-        .map(|i| {
-            let start = std::time::Instant::now();
-            session.query(i % devices).expect("query");
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    latencies_ms.sort_by(f64::total_cmp);
-    let pct = |q: f64| latencies_ms[((latencies_ms.len() - 1) as f64 * q).round() as usize];
-
-    Ok(serde_json::json!({
-        "devices": devices,
-        "servers": servers,
-        "events": events,
-        "seed": 2022u64,
-        "ingest_ms": ingest_ms,
-        "ingest_events_per_sec": ingest_events_per_sec,
-        "query_p50_ms": pct(0.50),
-        "query_p99_ms": pct(0.99),
     }))
 }
 
@@ -2051,9 +1899,6 @@ mod tests {
         assert!(
             matches!(zones.get("objective_ratio"), Some(Value::Float(r)) if *r > 0.5 && *r < 2.0)
         );
-        let ha = solvers.get("ha").expect("ha section");
-        assert_eq!(ha.get("identical"), Some(&Value::Bool(true)));
-        assert!(matches!(ha.get("failover_ms"), Some(Value::Float(ms)) if *ms > 0.0));
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Deterministic parallel execution for the TACC workspace.
 //!
-//! Every hot path in TACC — per-server Dijkstra fan-out, all-pairs
-//! shortest paths, multi-seed solver sweeps — is *embarrassingly
-//! parallel over an index range with an order-sensitive merge*: the
-//! result must be **bit-for-bit identical** to the serial run no matter
-//! how many workers execute it or how they interleave. This crate
-//! provides exactly that shape and nothing else:
+//! Every hot path in TACC — per-server shortest-path fan-out,
+//! routing-tree construction, multi-seed solver sweeps — is
+//! *embarrassingly parallel over an index range with an order-sensitive
+//! merge*: the result must be **bit-for-bit identical** to the serial
+//! run no matter how many workers execute it or how they interleave.
+//! This crate provides exactly that shape and nothing else:
 //!
 //! - [`par_map`] / [`par_map_with`] — map a function over a slice on a
 //!   scoped worker pool; results come back **in input order**.

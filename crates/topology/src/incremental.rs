@@ -31,9 +31,9 @@
 //! assertions in the runtime.
 
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+use crate::shortest_path::HeapEntry;
 use crate::{Graph, LinkId, NodeId};
 
 /// Work performed by one tree operation, in relaxation units.
@@ -50,33 +50,6 @@ impl UpdateStats {
     pub fn absorb(&mut self, other: UpdateStats) {
         self.settled += other.settled;
         self.edges_scanned += other.edges_scanned;
-    }
-}
-
-/// Min-heap entry (reversed for `BinaryHeap`); ties break on node index
-/// so heap order — and therefore floating-point settle order — is
-/// deterministic.
-#[derive(Debug, PartialEq)]
-struct HeapEntry {
-    cost: f64,
-    node: NodeId,
-}
-
-impl Eq for HeapEntry {}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .cost
-            .partial_cmp(&self.cost)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.node.index().cmp(&self.node.index()))
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
     }
 }
 

@@ -17,11 +17,14 @@
 //! - [`generators`]: six seeded topology families (random geometric,
 //!   Erdős–Rényi, Barabási–Albert, hierarchical gateway tree, grid,
 //!   fat-tree).
-//! - [`shortest_path`]: Dijkstra, parallel multi-source all-pairs, and
-//!   the Floyd–Warshall test oracle.
-//! - [`csr`]: flat compressed-sparse-row graph snapshot with cached-cost
-//!   Dijkstra kernels — the hot-path engine behind
-//!   [`Topology::delay_matrix`] and [`routing::RoutingTable`].
+//! - [`shortest_path`]: adjacency-list Dijkstra, the plainly written
+//!   reference every fast kernel is property-tested against.
+//! - [`csr`]: flat compressed-sparse-row graph snapshot with the two
+//!   production kernels — a bucket-queue distance sweep and a heap
+//!   sweep that records routing parents for [`routing::RoutingTable`].
+//! - [`compress`]: the leaf-compressed core the distance sweeps of
+//!   [`Topology::delay_matrix`], the zone layout and the ALT oracle run
+//!   on.
 //! - [`incremental`]: shortest-path trees repaired in place after
 //!   link-cost drift or link failure, for the online runtime.
 //!
@@ -77,4 +80,4 @@ pub use delay::{DelayMatrix, DelayModel};
 pub use error::TopologyError;
 pub use graph::{Graph, Link, LinkId, Neighbor, Node, NodeId, NodeKind, Point};
 pub use oracle::{AltOracle, DelayOracle};
-pub use topology::{MatrixKernel, Topology};
+pub use topology::Topology;

@@ -127,7 +127,7 @@ impl AltOracle {
     ///
     /// Panics if the topology has no servers.
     pub fn new(topology: &Topology, model: &DelayModel, num_landmarks: usize) -> Self {
-        let core = topology.compressed_core(model);
+        let core = CompressedCore::from_graph(topology.graph(), |l| model.link_delay_ms(l));
         let iot = topology.iot_nodes().to_vec();
         let servers = topology.server_nodes().to_vec();
         assert!(!servers.is_empty(), "AltOracle needs at least one server");

@@ -1,25 +1,9 @@
 use serde::{Deserialize, Serialize};
 
 use crate::compress::CompressedCore;
-use crate::csr::{CsrGraph, SsspScratch};
-use crate::shortest_path::{dijkstra_into, DijkstraScratch};
+use crate::csr::SsspScratch;
+use crate::shortest_path::dijkstra;
 use crate::{DelayMatrix, DelayModel, Graph, NodeId, NodeKind, TopologyError};
-
-/// Which engine [`Topology::delay_matrix_with_threads_kernel`] uses to
-/// build the matrix. Both produce bit-for-bit identical results; they
-/// differ only in speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum MatrixKernel {
-    /// The production fast path: leaf-compressed core snapshot
-    /// ([`CompressedCore`]) swept by the bucket-queue SSSP kernel (with
-    /// automatic heap fallback for pathological weight ranges).
-    Compressed,
-    /// The uncompressed CSR snapshot under the binary-heap kernel — the
-    /// pre-compression lane, kept as the per-kernel comparison column of
-    /// `tacc bench-report`.
-    FullHeap,
-}
 
 /// A network graph together with its IoT / edge-server role inventory.
 ///
@@ -84,8 +68,8 @@ impl Topology {
 
     /// Computes the IoT × server shortest-path delay matrix under `model`.
     ///
-    /// Runs one cached-cost CSR Dijkstra per edge server (servers are
-    /// typically far fewer than IoT devices), with link costs from
+    /// Runs one SSSP per edge server (servers are typically far fewer
+    /// than IoT devices) on the leaf-compressed core, with link costs from
     /// [`DelayModel::link_delay_ms`], fanned out over
     /// [`tacc_par::worker_count`] workers. The merge is by server index,
     /// so the result is **bit-for-bit identical** to
@@ -98,52 +82,25 @@ impl Topology {
     }
 
     /// [`Topology::delay_matrix`] with an explicit worker count
-    /// (1 = serial on the calling thread).
+    /// (1 = serial on the calling thread). Sweeps the leaf-compressed
+    /// core ([`CompressedCore`]) with the bucket-queue SSSP kernel.
     pub fn delay_matrix_with_threads(&self, model: &DelayModel, threads: usize) -> DelayMatrix {
-        self.delay_matrix_with_threads_kernel(model, threads, MatrixKernel::Compressed)
-    }
-
-    /// [`Topology::delay_matrix_with_threads`] with an explicit engine
-    /// choice — the per-kernel timing lanes of `tacc bench-report`.
-    /// Every kernel produces the same matrix bit for bit.
-    pub fn delay_matrix_with_threads_kernel(
-        &self,
-        model: &DelayModel,
-        threads: usize,
-        kernel: MatrixKernel,
-    ) -> DelayMatrix {
         let n = self.iot.len();
         let m = self.servers.len();
+        let core = CompressedCore::from_graph(&self.graph, |l| model.link_delay_ms(l));
         // One contiguous chunk of server columns per worker; each worker
         // reuses one scratch buffer across all its servers and returns
         // its columns server-major.
         let chunk = m.div_ceil(threads.max(1)).max(1);
-        let blocks = match kernel {
-            MatrixKernel::Compressed => {
-                let core = CompressedCore::from_graph(&self.graph, |l| model.link_delay_ms(l));
-                tacc_par::par_chunks_with(threads, &self.servers, chunk, |_, servers| {
-                    let mut scratch = SsspScratch::new();
-                    let mut columns = Vec::with_capacity(servers.len() * n);
-                    for &server in servers {
-                        let dist = core.sssp_into(server, &mut scratch);
-                        columns.extend(self.iot.iter().map(|&iot| core.distance(dist, iot)));
-                    }
-                    columns
-                })
+        let blocks = tacc_par::par_chunks_with(threads, &self.servers, chunk, |_, servers| {
+            let mut scratch = SsspScratch::new();
+            let mut columns = Vec::with_capacity(servers.len() * n);
+            for &server in servers {
+                let dist = core.sssp_into(server, &mut scratch);
+                columns.extend(self.iot.iter().map(|&iot| core.distance(dist, iot)));
             }
-            MatrixKernel::FullHeap => {
-                let csr = CsrGraph::from_graph(&self.graph, |l| model.link_delay_ms(l));
-                tacc_par::par_chunks_with(threads, &self.servers, chunk, |_, servers| {
-                    let mut scratch = SsspScratch::new();
-                    let mut columns = Vec::with_capacity(servers.len() * n);
-                    for &server in servers {
-                        let dist = csr.sssp_heap_into(server, &mut scratch);
-                        columns.extend(self.iot.iter().map(|iot| dist[iot.index()]));
-                    }
-                    columns
-                })
-            }
-        };
+            columns
+        });
         // Transpose the server-major blocks into the row-major matrix.
         let mut data = vec![f64::INFINITY; n * m];
         let mut j = 0usize;
@@ -158,25 +115,16 @@ impl Topology {
         DelayMatrix::from_parts(data, self.iot.clone(), self.servers.clone())
     }
 
-    /// The leaf-compressed core snapshot of this topology under `model`
-    /// — the engine behind the fast delay-matrix path and the
-    /// [`crate::oracle::AltOracle`].
-    pub fn compressed_core(&self, model: &DelayModel) -> CompressedCore {
-        CompressedCore::from_graph(&self.graph, |l| model.link_delay_ms(l))
-    }
-
     /// The serial adjacency-list reference implementation of
-    /// [`Topology::delay_matrix`]: one [`dijkstra_into`] run per edge
-    /// server through a reused scratch buffer. Kept as the baseline the
-    /// parallel CSR path is property-tested against, and as the
-    /// comparison lane of `tacc bench-report`.
+    /// [`Topology::delay_matrix`]: one [`dijkstra`] run per edge server.
+    /// Kept as the baseline the production path is property-tested
+    /// against, and as the reference lane of `tacc bench-report`.
     pub fn delay_matrix_serial(&self, model: &DelayModel) -> DelayMatrix {
         let n = self.iot.len();
         let m = self.servers.len();
         let mut data = vec![f64::INFINITY; n * m];
-        let mut scratch = DijkstraScratch::new();
         for (j, &server) in self.servers.iter().enumerate() {
-            let dist = dijkstra_into(&self.graph, server, |l| model.link_delay_ms(l), &mut scratch);
+            let dist = dijkstra(&self.graph, server, |l| model.link_delay_ms(l));
             for (i, &iot) in self.iot.iter().enumerate() {
                 data[i * m + j] = dist[iot.index()];
             }

@@ -3,59 +3,23 @@
 //! at every worker count (1, a few, and heavily oversubscribed).
 //!
 //! This is the determinism contract of the `tacc-par` layer: the CSR
-//! kernels relax edges in the same order as the adjacency-list Dijkstra,
+//! kernels reach the adjacency-list Dijkstra's distances bit for bit,
 //! and results merge by input index, so `f64::to_bits` equality must
 //! hold exactly — not within a tolerance.
 
-use proptest::prelude::*;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+mod common;
 
+use proptest::prelude::*;
+
+use common::family_topology;
 use tacc_topology::csr::{CsrGraph, SsspScratch};
-use tacc_topology::generators::{
-    BarabasiAlbert, ErdosRenyi, FatTree, Grid, HierarchicalTree, RandomGeometric, TopologyGenerator,
-};
 use tacc_topology::routing::RoutingTable;
 use tacc_topology::shortest_path::dijkstra;
-use tacc_topology::{DelayModel, Topology};
+use tacc_topology::DelayModel;
 
 /// 1 = forced serial, 2/5 = modest pools, 17 = more workers than
 /// servers (oversubscribed: most workers see an empty chunk).
 const THREADS: [usize; 4] = [1, 2, 5, 17];
-
-/// One topology per generator family, seeded; small enough that a
-/// property runs hundreds of cases in test time.
-fn family_topology(family: usize, seed: u64, n: usize, m: usize) -> Topology {
-    let rng = &mut ChaCha8Rng::seed_from_u64(seed);
-    match family {
-        0 => RandomGeometric::builder()
-            .num_iot(n)
-            .num_servers(m)
-            .num_routers(8)
-            .build()
-            .unwrap()
-            .generate(rng),
-        1 => ErdosRenyi::builder()
-            .num_iot(n)
-            .num_servers(m)
-            .num_routers(8)
-            .build()
-            .unwrap()
-            .generate(rng),
-        2 => BarabasiAlbert::builder()
-            .num_iot(n)
-            .num_servers(m)
-            .num_routers(8)
-            .build()
-            .unwrap()
-            .generate(rng),
-        3 => HierarchicalTree::builder().num_iot(n).num_servers(m).build().unwrap().generate(rng),
-        4 => Grid::builder().num_iot(n).num_servers(m).build().unwrap().generate(rng),
-        5 => FatTree::builder().num_iot(n).num_servers(m).build().unwrap().generate(rng),
-        other => panic!("unknown family index {other}"),
-    }
-    .expect("generated topologies are valid")
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -85,9 +49,10 @@ proptest! {
         prop_assert!(serial.iter().map(f64::to_bits).eq(default.iter().map(f64::to_bits)));
     }
 
-    /// The cached-cost CSR kernel settles every node to exactly the
-    /// distance the adjacency-list Dijkstra computes, from every server
-    /// source, for every family.
+    /// The cached-cost CSR bucket kernel settles every node to exactly
+    /// the distance the adjacency-list Dijkstra computes, from every
+    /// node of every family — including router/device sources the
+    /// production sweeps never use.
     #[test]
     fn csr_sssp_is_bitwise_dijkstra(
         family in 0usize..6,
@@ -98,16 +63,17 @@ proptest! {
         let topo = family_topology(family, seed, n, m);
         let model = DelayModel::default();
         let csr = CsrGraph::from_graph(topo.graph(), |l| model.link_delay_ms(l));
+        prop_assert_eq!(csr.kernel_name(), "bucket", "family={} has positive costs", family);
         let mut scratch = SsspScratch::new();
-        for &server in topo.server_nodes() {
-            let reference = dijkstra(topo.graph(), server, |l| model.link_delay_ms(l));
-            let dist = csr.sssp_into(server, &mut scratch);
+        for (source, _) in topo.graph().nodes() {
+            let reference = dijkstra(topo.graph(), source, |l| model.link_delay_ms(l));
+            let dist = csr.sssp_into(source, &mut scratch);
             prop_assert_eq!(dist.len(), reference.len());
             for (v, (&d, &r)) in dist.iter().zip(&reference).enumerate() {
                 prop_assert!(
                     d.to_bits() == r.to_bits(),
                     "family={family} source={:?} node={v}: csr={d} dijkstra={r}",
-                    server
+                    source
                 );
             }
         }

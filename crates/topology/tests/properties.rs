@@ -1,8 +1,8 @@
 //! Property-based tests of the topology substrate.
 //!
 //! Invariants checked:
-//! - Dijkstra distances satisfy the triangle inequality and match the
-//!   Floyd–Warshall oracle.
+//! - Dijkstra distances satisfy the triangle inequality and match a
+//!   Floyd–Warshall oracle written out below.
 //! - Shortest paths on undirected graphs are symmetric.
 //! - Delay matrices of generated topologies are finite, positive and
 //!   deterministic in the seed.
@@ -14,8 +14,43 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use tacc_topology::generators::{RandomGeometric, TopologyGenerator};
-use tacc_topology::shortest_path::{dijkstra, floyd_warshall};
-use tacc_topology::{DelayModel, Graph, NodeId, NodeKind};
+use tacc_topology::shortest_path::dijkstra;
+use tacc_topology::{DelayModel, Graph, Link, NodeId, NodeKind};
+
+/// All-pairs distances by Floyd–Warshall: `O(n³)` and structurally
+/// independent of Dijkstra, which makes it the oracle for it.
+/// `result[u][v]` is `f64::INFINITY` when `v` is unreachable from `u`.
+fn floyd_warshall(graph: &Graph, link_cost: impl Fn(&Link) -> f64) -> Vec<Vec<f64>> {
+    let n = graph.node_count();
+    let mut dist = vec![vec![f64::INFINITY; n]; n];
+    for (i, row) in dist.iter_mut().enumerate() {
+        row[i] = 0.0;
+    }
+    for (_, link) in graph.links() {
+        let c = link_cost(link);
+        let (a, b) = (link.a().index(), link.b().index());
+        // Parallel links: keep the cheaper one.
+        if c < dist[a][b] {
+            dist[a][b] = c;
+            dist[b][a] = c;
+        }
+    }
+    for k in 0..n {
+        for i in 0..n {
+            let dik = dist[i][k];
+            if dik.is_infinite() {
+                continue;
+            }
+            for j in 0..n {
+                let through = dik + dist[k][j];
+                if through < dist[i][j] {
+                    dist[i][j] = through;
+                }
+            }
+        }
+    }
+    dist
+}
 
 /// Builds a random connected graph from a proptest-provided edge list.
 fn arbitrary_graph() -> impl Strategy<Value = Graph> {
@@ -52,8 +87,8 @@ proptest! {
         for s in 0..g.node_count() {
             let d = dijkstra(&g, ids[s], |l| l.latency_ms());
             for t in 0..g.node_count() {
-                let diff = (fw.get(s, t) - d[t]).abs();
-                prop_assert!(diff < 1e-9, "s={s} t={t}: fw={} dij={}", fw.get(s, t), d[t]);
+                let diff = (fw[s][t] - d[t]).abs();
+                prop_assert!(diff < 1e-9, "s={s} t={t}: fw={} dij={}", fw[s][t], d[t]);
             }
         }
     }
@@ -63,7 +98,7 @@ proptest! {
         let fw = floyd_warshall(&g, |l| l.latency_ms());
         for s in 0..g.node_count() {
             for t in 0..g.node_count() {
-                prop_assert!((fw.get(s, t) - fw.get(t, s)).abs() < 1e-9);
+                prop_assert!((fw[s][t] - fw[t][s]).abs() < 1e-9);
             }
         }
     }
@@ -75,7 +110,7 @@ proptest! {
         for a in 0..n {
             for b in 0..n {
                 for c in 0..n {
-                    prop_assert!(fw.get(a, c) <= fw.get(a, b) + fw.get(b, c) + 1e-9);
+                    prop_assert!(fw[a][c] <= fw[a][b] + fw[b][c] + 1e-9);
                 }
             }
         }

@@ -16,7 +16,9 @@
 //!    a proportional share of the work budget ([`split_budget`]).
 //! 4. **Refine** — devices near zone borders are re-offered to their
 //!    second-nearest zone; improving, capacity-respecting moves are
-//!    applied serially in device order.
+//!    applied serially in device order. A merge that still overloads a
+//!    server is then repaired by least-delay-increase shifts and swaps
+//!    onto servers with room in any zone.
 //!
 //! The decomposition is a **strict generalization** of the global
 //! solve: with one zone, routing is the identity, there are no border

@@ -18,6 +18,23 @@
 //! order, so the pass is deterministic. With one zone there are no
 //! border devices and the pipeline collapses to the global dense solve
 //! bit-for-bit.
+//!
+//! # Capacity repair
+//!
+//! The router fills zones only to a headroom share and spills what
+//! does not fit into the zone with the most room, so a zone can receive
+//! more demand than its solver can pack — typically after server
+//! failures shrink the cluster. When the merged, refined assignment
+//! still overloads a server, a serial repair moves devices off every
+//! overloaded server onto servers with room, in any zone. Each step
+//! takes the move with the least delay increase: a shift when one
+//! fits, else a swap with a lighter device on a server with room; ties
+//! go to the lowest device, then server, index. A step never overloads
+//! another server and always lowers the total overload, so the repair
+//! ends, feasible whenever these moves reach a fit. Delays come from
+//! one core SSSP sweep per server the repair looks at; no devices ×
+//! servers matrix is built. A merge that is already feasible is not
+//! touched, bit for bit.
 
 use tacc_baselines::{DeviceOrder, Greedy, LocalSearch, Neighborhood};
 use tacc_gap::{Budget, GapInstance, Solution, Solver};
@@ -160,9 +177,9 @@ impl ZoneLayout {
 
     /// Zoned solve with a caller-supplied per-zone solver (`tacc serve`
     /// passes a guard-supervised one). Zones run in parallel via
-    /// `tacc-par` and merge in zone order; the refinement pass is
-    /// serial, so the result is deterministic at any worker count as
-    /// long as `solver` is.
+    /// `tacc-par` and merge in zone order; the refinement pass and the
+    /// capacity repair are serial, so the result is deterministic at
+    /// any worker count as long as `solver` is.
     pub fn solve_with<F>(
         &self,
         devices: &[NodeId],
@@ -238,6 +255,17 @@ impl ZoneLayout {
             }
         }
         tacc_obs::counter_add("zone.border_refinements", refinements as u64);
+        let repairs = self.repair_overloads(
+            devices,
+            demands,
+            &mut loads,
+            &mut server_of_device,
+            &mut delay_of_device,
+            &mut zone_of_device,
+        );
+        if repairs > 0 {
+            tacc_obs::counter_add("zone.capacity_repairs", repairs as u64);
+        }
 
         let objective: f64 = delay_of_device.iter().sum();
         let feasible = server_of_device.iter().all(|&j| j != u32::MAX)
@@ -251,6 +279,86 @@ impl ZoneLayout {
             refinements,
             zones,
         }
+    }
+
+    /// The capacity repair (see the module docs): moves devices off
+    /// overloaded servers until every server fits or no shift or swap
+    /// lowers the overload. Returns the number of moves made.
+    fn repair_overloads(
+        &self,
+        devices: &[NodeId],
+        demands: &[f64],
+        loads: &mut [f64],
+        server_of_device: &mut [u32],
+        delay_of_device: &mut [f64],
+        zone_of_device: &mut [u32],
+    ) -> usize {
+        let caps = self.capacities();
+        let overloaded =
+            |loads: &[f64], j: u32| j != u32::MAX && loads[j as usize] - caps[j as usize] > 1e-9;
+        let fits = |loads: &[f64], j: usize, extra: f64| loads[j] + extra <= caps[j] + 1e-9;
+        let mut sweeps = Sweeps::new(self);
+        let mut moves = 0usize;
+        while server_of_device.iter().any(|&j| overloaded(loads, j)) {
+            // Least delay increase first; `<` keeps the lowest indices
+            // on ties.
+            let mut shift: Option<(f64, usize, usize)> = None;
+            for (i, &s) in server_of_device.iter().enumerate() {
+                if !overloaded(loads, s) {
+                    continue;
+                }
+                for t in 0..self.num_servers() {
+                    if t == s as usize || !fits(loads, t, demands[i]) {
+                        continue;
+                    }
+                    let d = sweeps.delay(t, devices[i]);
+                    let increase = d - delay_of_device[i];
+                    if d.is_finite() && shift.map_or(true, |(b, _, _)| increase < b) {
+                        shift = Some((increase, i, t));
+                    }
+                }
+            }
+            let step = if let Some((_, i, t)) = shift {
+                vec![(i, t)]
+            } else {
+                let mut swap: Option<(f64, usize, usize)> = None;
+                for (i, &s) in server_of_device.iter().enumerate() {
+                    if !overloaded(loads, s) {
+                        continue;
+                    }
+                    for (k, &t) in server_of_device.iter().enumerate() {
+                        if t == u32::MAX
+                            || t == s
+                            || demands[k] >= demands[i]
+                            || !fits(loads, t as usize, demands[i] - demands[k])
+                        {
+                            continue;
+                        }
+                        let di = sweeps.delay(t as usize, devices[i]);
+                        let dk = sweeps.delay(s as usize, devices[k]);
+                        let increase = (di + dk) - (delay_of_device[i] + delay_of_device[k]);
+                        if di.is_finite()
+                            && dk.is_finite()
+                            && swap.map_or(true, |(b, _, _)| increase < b)
+                        {
+                            swap = Some((increase, i, k));
+                        }
+                    }
+                }
+                let Some((_, i, k)) = swap else { break };
+                vec![(i, server_of_device[k] as usize), (k, server_of_device[i] as usize)]
+            };
+            for (i, t) in step {
+                let s = server_of_device[i] as usize;
+                loads[s] -= demands[i];
+                loads[t] += demands[i];
+                server_of_device[i] = t as u32;
+                delay_of_device[i] = sweeps.delay(t, devices[i]);
+                zone_of_device[i] = self.zone_of_server(t) as u32;
+                moves += 1;
+            }
+        }
+        moves
     }
 
     /// Solves one zone: per member server an SSSP on the shared core
@@ -330,5 +438,28 @@ impl ZoneLayout {
                 budget,
             },
         }
+    }
+}
+
+/// Core SSSP sweeps from server slots, run on first use and kept for
+/// the rest of a capacity repair.
+struct Sweeps<'a> {
+    layout: &'a ZoneLayout,
+    dist: Vec<Option<Vec<f64>>>,
+    scratch: SsspScratch,
+}
+
+impl<'a> Sweeps<'a> {
+    fn new(layout: &'a ZoneLayout) -> Self {
+        Sweeps { layout, dist: vec![None; layout.num_servers()], scratch: SsspScratch::new() }
+    }
+
+    /// The exact delay between `device` and the server at `slot` — the
+    /// same value the zone solve reads from its delay column.
+    fn delay(&mut self, slot: usize, device: NodeId) -> f64 {
+        let (core, scratch) = (self.layout.core(), &mut self.scratch);
+        let server = self.layout.server_node(slot);
+        let dist = self.dist[slot].get_or_insert_with(|| core.sssp_into(server, scratch).to_vec());
+        core.distance(dist, device)
     }
 }
