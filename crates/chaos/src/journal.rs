@@ -14,28 +14,33 @@
 //!   `Step` indices may legitimately replay (replay is deterministic, so
 //!   re-processing an event reproduces the same state).
 //!
-//! Format v2 wraps every line in a CRC-32 frame —
-//! `{"crc32":N,"record":{...}}` with the checksum taken over the
-//! serialized record — so *any* single corrupted byte is detected, not
-//! just bytes that break JSON syntax. V1 journals (plain record lines)
-//! remain readable.
+//! Every line is a CRC-32 frame — `{"crc32":N,"record":{...}}` with the
+//! checksum taken over the serialized record — so *any* single corrupted
+//! byte is detected, not just bytes that break JSON syntax.
 //!
-//! Format v3 adds two record kinds for *sessions* whose events arrive
-//! over a wire instead of from a trace file (the `tacc serve` daemon):
-//! a `SessionScenario` record pins the scenario the session was built
-//! from, and `Event` records persist each received event write-ahead —
-//! before it is applied — so a journal alone reconstructs the entire
-//! trace a killed daemon had accepted. [`scan_journal`] reads a journal
+//! Sessions whose events arrive over a wire instead of from a trace file
+//! (the `tacc serve` daemon) add three record kinds: a `SessionScenario`
+//! record pins the scenario the session was built from, `Event` records
+//! persist each received event write-ahead — before it is applied — so a
+//! journal alone reconstructs the entire trace a killed daemon had
+//! accepted, and a `SeqAck` record, journaled in the *same* fsync as a
+//! burst's `Event` records, holds the acknowledgement returned for an
+//! idempotent `Push` sequence number. [`scan_journal`] reads a journal
 //! without needing the trace up front, which is how a recovering daemon
-//! bootstraps. V1 and v2 journals remain readable.
+//! bootstraps; a recovered (or promoted-standby) daemon restores its
+//! seq-dedup state from the last `SeqAck`, so a client re-sending an
+//! acked burst after failover gets the recorded acknowledgement instead
+//! of a double-apply.
 //!
-//! Format v4 adds the `SeqAck` record: the acknowledgement a wire-fed
-//! session returned for an idempotent `Push` sequence number, journaled
-//! in the *same* fsync as the burst's `Event` records. A recovered (or
-//! promoted-standby) daemon restores its seq-dedup state from the last
-//! `SeqAck`, so a client re-sending an acked burst after failover gets
-//! the recorded acknowledgement instead of a double-apply. V1–v3
-//! journals remain readable.
+//! The reader accepts exactly one format: CRC-framed lines under a
+//! `Begin` record whose `journal_version` is [`JOURNAL_VERSION`]. An
+//! unframed line is corrupt, and a journal of any other version is
+//! refused with a typed [`ChaosError::Journal`].
+//!
+//! A `Snapshot` record is deserialized by serde, which bypasses every
+//! builder check, so recovery passes it through the same input
+//! quarantine (`tacc_guard::validate::validate_snapshot`) a
+//! `run-trace --resume` file meets before [`Runtime::restore`] sees it.
 //!
 //! [`Journal::open_append`] — the recovery/standby reopen path — first
 //! **truncates the torn tail**: any unterminated trailing bytes, plus a
@@ -71,7 +76,7 @@ use tacc_workload::{TimedEvent, Trace, TraceScenario};
 use crate::crc::crc32;
 use crate::ChaosError;
 
-/// The journal format this build writes. Reading accepts `1..=4`.
+/// The journal format this build writes and the only one it reads.
 pub const JOURNAL_VERSION: u32 = 4;
 
 /// One line of the journal.
@@ -109,7 +114,7 @@ pub enum JournalRecord {
         /// The cursor the recovered runtime resumed from.
         cursor: u64,
     },
-    /// (v3) The scenario a wire-fed session was built from. Written once,
+    /// The scenario a wire-fed session was built from. Written once,
     /// right after `Begin`, by sessions whose events arrive over a
     /// protocol instead of from a trace file — it lets [`scan_journal`]
     /// callers rebuild the trace without any file besides the journal.
@@ -117,7 +122,7 @@ pub enum JournalRecord {
         /// The generator scenario.
         scenario: TraceScenario,
     },
-    /// (v3) An event accepted over the wire, persisted *before* it is
+    /// An event accepted over the wire, persisted *before* it is
     /// applied. `index` is its position in the session's event timeline,
     /// so the full event list is reconstructible in order.
     Event {
@@ -126,7 +131,7 @@ pub enum JournalRecord {
         /// The event itself.
         timed: TimedEvent,
     },
-    /// (v4) The acknowledgement returned for an idempotent `Push`
+    /// The acknowledgement returned for an idempotent `Push`
     /// sequence number, durable in the same fsync as the burst's `Event`
     /// records. Recovery restores its seq-dedup state from the last one,
     /// so an acked burst re-sent across a crash or failover is answered
@@ -393,42 +398,35 @@ pub struct Recovery {
     pub corrupt_records: Vec<usize>,
 }
 
-/// Parses (and CRC-verifies) one journal line — v2+ CRC frame or v1
-/// plain record. This is how a replication standby validates each
-/// shipped line before making it durable.
+/// Parses (and CRC-verifies) one CRC-framed journal line. This is how a
+/// replication standby validates each shipped line before making it
+/// durable.
 ///
 /// # Errors
 ///
 /// A human-readable reason when the line is not an intact record.
 pub fn parse_journal_line(line: &str) -> Result<JournalRecord, String> {
-    parse_line(line)
-}
-
-/// Parses one journal line, v2 CRC frame or v1 plain record.
-fn parse_line(line: &str) -> Result<JournalRecord, String> {
     let value: Value = serde_json::from_str(line).map_err(|e| format!("unparseable line: {e}"))?;
-    if let Some(stored) = value.get("crc32") {
-        // V2 frame: verify the checksum over the re-serialized record.
-        // Serialization is byte-deterministic (insertion-ordered keys,
-        // shortest-roundtrip floats), so an intact record reproduces the
-        // exact bytes the checksum was computed over.
-        let Value::UInt(stored) = stored else {
-            return Err("frame has a non-integer crc32".to_owned());
-        };
-        let stored = u32::try_from(*stored).map_err(|_| "frame crc32 out of range".to_owned())?;
-        let Some(record) = value.get("record") else {
-            return Err("frame is missing its record".to_owned());
-        };
-        let body = serde_json::to_string(record).expect("parsed values re-serialize");
-        let computed = crc32(body.as_bytes());
-        if computed != stored {
-            return Err(format!("CRC mismatch (stored {stored:#010x}, computed {computed:#010x})"));
-        }
-        serde_json::from_value::<JournalRecord>(record).map_err(|e| format!("bad record: {e}"))
-    } else {
-        // V1 plain record line (no frame, no checksum).
-        serde_json::from_value::<JournalRecord>(&value).map_err(|e| format!("bad record: {e}"))
+    // Verify the checksum over the re-serialized record. Serialization
+    // is byte-deterministic (insertion-ordered keys, shortest-roundtrip
+    // floats), so an intact record reproduces the exact bytes the
+    // checksum was computed over.
+    let Some(stored) = value.get("crc32") else {
+        return Err("line is not a CRC frame".to_owned());
+    };
+    let Value::UInt(stored) = stored else {
+        return Err("frame has a non-integer crc32".to_owned());
+    };
+    let stored = u32::try_from(*stored).map_err(|_| "frame crc32 out of range".to_owned())?;
+    let Some(record) = value.get("record") else {
+        return Err("frame is missing its record".to_owned());
+    };
+    let body = serde_json::to_string(record).expect("parsed values re-serialize");
+    let computed = crc32(body.as_bytes());
+    if computed != stored {
+        return Err(format!("CRC mismatch (stored {stored:#010x}, computed {computed:#010x})"));
     }
+    serde_json::from_value::<JournalRecord>(record).map_err(|e| format!("bad record: {e}"))
 }
 
 /// A journal read end-to-end, validated but not yet replayed. This is
@@ -437,8 +435,6 @@ fn parse_line(line: &str) -> Result<JournalRecord, String> {
 /// `Event` records in here.
 #[derive(Debug)]
 pub struct JournalScan {
-    /// The format version the journal pinned in its `Begin` record.
-    pub journal_version: u32,
     /// The trace fingerprint the journal pinned.
     pub trace_fingerprint: u64,
     /// The runtime configuration the journal pinned.
@@ -454,7 +450,7 @@ pub struct JournalScan {
 
 /// Reads and validates a journal without needing the trace it was
 /// recorded against: line parsing under `policy`, `Begin`-record
-/// presence, and version-range checks. Callers that *do* hold the trace
+/// presence, and the version check. Callers that *do* hold the trace
 /// should use [`recover`]/[`recover_with`], which additionally verify
 /// the fingerprint and rebuild the runtime.
 ///
@@ -462,7 +458,7 @@ pub struct JournalScan {
 ///
 /// Returns [`ChaosError::Io`] if the journal cannot be read,
 /// [`ChaosError::Journal`] if it is empty, does not start with an intact
-/// `Begin` record, pins an unknown journal version, or — under
+/// `Begin` record, pins a version other than [`JOURNAL_VERSION`], or — under
 /// [`RecoveryPolicy::Strict`] — has a corrupt record anywhere before the
 /// final line.
 pub fn scan_journal(path: &Path, policy: RecoveryPolicy) -> Result<JournalScan, ChaosError> {
@@ -476,7 +472,7 @@ pub fn scan_journal(path: &Path, policy: RecoveryPolicy) -> Result<JournalScan, 
     let mut torn_tail = false;
     let mut corrupt_records: Vec<usize> = Vec::new();
     for (i, line) in lines.iter().enumerate() {
-        match parse_line(line) {
+        match parse_journal_line(line) {
             Ok(record) => records.push(record),
             Err(_) if i + 1 == lines.len() && lines.len() > 1 => torn_tail = true,
             Err(reason) => match policy {
@@ -499,23 +495,15 @@ pub fn scan_journal(path: &Path, policy: RecoveryPolicy) -> Result<JournalScan, 
             reason: "journal does not start with a Begin record".to_owned(),
         });
     };
-    if !(1..=JOURNAL_VERSION).contains(journal_version) {
+    if *journal_version != JOURNAL_VERSION {
         return Err(ChaosError::Journal {
             reason: format!(
-                "journal version {journal_version} (this build reads 1..={JOURNAL_VERSION})"
+                "journal version {journal_version} (this build reads {JOURNAL_VERSION})"
             ),
         });
     }
-    let (journal_version, trace_fingerprint, config) =
-        (*journal_version, *trace_fingerprint, config.clone());
-    Ok(JournalScan {
-        journal_version,
-        trace_fingerprint,
-        config,
-        records,
-        torn_tail,
-        corrupt_records,
-    })
+    let (trace_fingerprint, config) = (*trace_fingerprint, config.clone());
+    Ok(JournalScan { trace_fingerprint, config, records, torn_tail, corrupt_records })
 }
 
 /// Rebuilds a runtime from a journal plus the trace it was recorded
@@ -536,10 +524,11 @@ pub fn recover(path: &Path, trace: &Trace) -> Result<Recovery, ChaosError> {
 ///
 /// Returns [`ChaosError::Io`] if the journal cannot be read,
 /// [`ChaosError::Journal`] if it is empty, does not start with an intact
-/// `Begin` record, pins an unknown journal version or a different trace
+/// `Begin` record, pins another journal version or a different trace
 /// fingerprint, or — under [`RecoveryPolicy::Strict`] — has a corrupt
-/// record anywhere before the final line, and propagates runtime restore
-/// failures.
+/// record anywhere before the final line; [`ChaosError::Quarantine`]
+/// under either policy if the restore-point snapshot fails the input
+/// quarantine; and propagates runtime restore failures.
 pub fn recover_with(
     path: &Path,
     trace: &Trace,
@@ -574,7 +563,12 @@ pub fn recover_with(
     }
 
     let (runtime, from_snapshot) = match last_snapshot {
-        Some(snapshot) => (Runtime::restore(snapshot.clone(), trace)?, true),
+        Some(snapshot) => {
+            tacc_guard::validate::validate_snapshot(snapshot)
+                .gate(false)
+                .map_err(|e| ChaosError::Quarantine { reason: e.to_string() })?;
+            (Runtime::restore(snapshot.clone(), trace)?, true)
+        }
         None => (Runtime::from_trace(trace, scan.config)?, false),
     };
     Ok(Recovery {
@@ -699,25 +693,82 @@ mod tests {
     }
 
     #[test]
-    fn v1_plain_record_journals_remain_readable() {
+    fn unframed_lines_and_other_journal_versions_are_refused() {
         let trace = trace();
         let config = RuntimeConfig::default();
-        let path = temp_path("v1");
-        // A v1 journal: plain record lines, no CRC frames, version 1.
-        let begin = serde_json::to_string(&JournalRecord::Begin {
-            journal_version: 1,
-            trace_fingerprint: trace.fingerprint(),
-            config,
-        })
-        .unwrap();
-        let step = serde_json::to_string(&JournalRecord::Step { index: 0 }).unwrap();
-        std::fs::write(&path, format!("{begin}\n{step}\n")).unwrap();
+        let path = temp_path("refused");
+        let mut journal = Journal::create(&path, &trace, &config).unwrap();
+        journal.append(&JournalRecord::Step { index: 0 }).unwrap();
+        drop(journal);
+        let framed = std::fs::read_to_string(&path).unwrap();
+        let unframed = serde_json::to_string(&JournalRecord::Step { index: 1 }).unwrap();
 
-        let recovery = recover(&path, &trace).unwrap();
-        assert_eq!(recovery.last_step, Some(0));
-        assert_eq!(recovery.records, 2);
-        assert!(recovery.corrupt_records.is_empty());
+        // An unframed record line before the final line is corruption,
+        // even though it parses as a record.
+        let tail = framed.lines().last().unwrap();
+        std::fs::write(&path, format!("{framed}{unframed}\n{tail}\n")).unwrap();
+        let err = scan_journal(&path, RecoveryPolicy::Strict).unwrap_err();
+        let ChaosError::Journal { reason } = &err else { panic!("got {err:?}") };
+        assert!(reason.contains("line 3") && reason.contains("not a CRC frame"), "got: {reason}");
+
+        // An unframed *final* line is a torn tail: reopening drops it.
+        std::fs::write(&path, format!("{framed}{unframed}\n")).unwrap();
+        drop(Journal::open_append(&path).unwrap());
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), framed);
+
+        // A CRC-intact Begin that pins any other format version is refused.
+        for version in [1, 2, 3, JOURNAL_VERSION + 1] {
+            let mut journal = Journal::create_raw(&path).unwrap();
+            journal
+                .append(&JournalRecord::Begin {
+                    journal_version: version,
+                    trace_fingerprint: trace.fingerprint(),
+                    config: config.clone(),
+                })
+                .unwrap();
+            journal.append(&JournalRecord::Step { index: 0 }).unwrap();
+            drop(journal);
+            for policy in [RecoveryPolicy::Strict, RecoveryPolicy::Lenient] {
+                let err = scan_journal(&path, policy).unwrap_err();
+                let ChaosError::Journal { reason } = &err else { panic!("got {err:?}") };
+                assert!(reason.contains(&format!("journal version {version} ")), "got: {reason}");
+            }
+        }
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_snapshot_that_fails_quarantine_is_refused_under_both_policies() {
+        let trace = trace();
+        let config = RuntimeConfig::default();
+        let mut runtime = Runtime::from_trace(&trace, config.clone()).unwrap();
+        for (index, timed) in trace.events[..10].iter().enumerate() {
+            runtime.step(index, timed).unwrap();
+        }
+        let clean = runtime.snapshot();
+        let mut nan_priorities = clean.clone();
+        nan_priorities.config.priorities = vec![f64::NAN; trace.scenario.num_iot];
+        // Point the first link's second endpoint past the last node.
+        let graph = clean.topology.graph();
+        let (_, link) = graph.links().next().expect("topology has links");
+        let (a, b) = (link.a().index(), link.b().index());
+        let intact = format!("\"links\":[{{\"a\":{a},\"b\":{b},");
+        let broken = format!("\"links\":[{{\"a\":{a},\"b\":{},", graph.node_count() + 5);
+        let json = serde_json::to_string(&clean).unwrap();
+        assert!(json.contains(&intact), "snapshot layout drifted");
+        let dangling = RuntimeSnapshot::from_json(&json.replacen(&intact, &broken, 1)).unwrap();
+
+        for snapshot in [nan_priorities, dangling] {
+            let path = temp_path("quarantined-snapshot");
+            let mut journal = Journal::create(&path, &trace, &config).unwrap();
+            journal.append(&JournalRecord::Snapshot { snapshot }).unwrap();
+            drop(journal);
+            for policy in [RecoveryPolicy::Strict, RecoveryPolicy::Lenient] {
+                let err = recover_with(&path, &trace, policy).unwrap_err();
+                assert!(matches!(err, ChaosError::Quarantine { .. }), "{policy:?}: got {err:?}");
+            }
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]
@@ -731,8 +782,8 @@ mod tests {
         drop(journal);
 
         // Flip the step index inside the framed record: still perfectly
-        // valid JSON, but the stored CRC no longer matches. The v1 reader
-        // would have accepted this silently.
+        // valid JSON, but the stored CRC no longer matches. Without the
+        // checksum this would have been accepted silently.
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("\"index\":3"), "fixture drifted");
         std::fs::write(&path, text.replace("\"index\":3", "\"index\":8")).unwrap();
@@ -784,7 +835,6 @@ mod tests {
         drop(journal);
 
         let scan = scan_journal(&path, RecoveryPolicy::Strict).unwrap();
-        assert_eq!(scan.journal_version, JOURNAL_VERSION);
         assert_eq!(scan.records.len(), 5, "Begin + 4 events");
         let events: Vec<&JournalRecord> =
             scan.records.iter().filter(|r| matches!(r, JournalRecord::Event { .. })).collect();
@@ -937,7 +987,7 @@ mod tests {
     fn recovery_rejects_a_missing_begin_record() {
         let trace = trace();
         let path = temp_path("no-begin");
-        std::fs::write(&path, "{\"Step\":{\"index\":0}}\n").unwrap();
+        Journal::create_raw(&path).unwrap().append(&JournalRecord::Step { index: 0 }).unwrap();
         let err = recover(&path, &trace).unwrap_err();
         let ChaosError::Journal { reason } = &err else { panic!("got {err:?}") };
         assert!(reason.contains("Begin"), "got: {reason}");

@@ -12,9 +12,9 @@
 //!    traces, so nothing downstream needs a special case.
 //! 2. **Crash-recovery journaling** ([`Journal`], [`recover`]): an
 //!    append-only, per-record-fsync'd JSONL journal of a replay, every
-//!    record wrapped in a CRC-32 frame (format v2; v1 plain-line
-//!    journals remain readable), with periodic full snapshots, from
-//!    which a hard-killed run recovers. Strict recovery tolerates
+//!    record wrapped in a CRC-32 frame, with periodic full snapshots
+//!    (gated through the input quarantine before restore), from which
+//!    a hard-killed run recovers. Strict recovery tolerates
 //!    exactly the torn final line a mid-write kill leaves; lenient
 //!    recovery ([`recover_with`]) additionally skips and reports
 //!    corrupt mid-file records.

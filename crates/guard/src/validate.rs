@@ -15,13 +15,14 @@
 //! timestamps…) always reject; **advisory** findings (empty traces,
 //! overcommitted load factors) only reject under `--strict-inputs`.
 
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
 
 use serde::Serialize;
 use tacc_gap::GapInstance;
 use tacc_runtime::RuntimeSnapshot;
 use tacc_topology::Graph;
-use tacc_workload::{Trace, TraceEvent, TraceScenario};
+use tacc_workload::{event_faults, EventFault, Trace, TraceScenario};
 
 use crate::error::GuardError;
 
@@ -286,7 +287,8 @@ impl QuarantineReport {
 pub fn validate_graph(graph: &Graph) -> QuarantineReport {
     let mut report = QuarantineReport::new("topology");
     let nodes = graph.node_count();
-    let mut seen: Vec<(usize, usize, usize)> = Vec::with_capacity(graph.link_count());
+    // First link index per unordered endpoint pair.
+    let mut seen: HashMap<(usize, usize), usize> = HashMap::with_capacity(graph.link_count());
     for (id, link) in graph.links() {
         let idx = id.index();
         let (a, b) = (link.a().index(), link.b().index());
@@ -320,16 +322,16 @@ pub fn validate_graph(graph: &Graph) -> QuarantineReport {
                 .issues
                 .push(ValidationIssue::NonPositiveBandwidth { link: idx, value: bandwidth });
         }
-        let key = (a.min(b), a.max(b));
-        if let Some(&(_, _, first)) = seen.iter().find(|&&(ka, kb, _)| (ka, kb) == key) {
-            report.issues.push(ValidationIssue::DuplicateEdge {
+        match seen.entry((a.min(b), a.max(b))) {
+            Entry::Occupied(first) => report.issues.push(ValidationIssue::DuplicateEdge {
                 a,
                 b,
-                first_link: first,
+                first_link: *first.get(),
                 duplicate_link: idx,
-            });
-        } else {
-            seen.push((key.0, key.1, idx));
+            }),
+            Entry::Vacant(slot) => {
+                slot.insert(idx);
+            }
         }
     }
     report
@@ -355,10 +357,10 @@ fn check_scenario(scenario: &TraceScenario, report: &mut QuarantineReport) {
     }
 }
 
-/// Validates a trace: version, scenario sanity, finite monotone
-/// timestamps, in-range entity indices, finite non-negative drift
-/// latencies. Subsumes `Trace::validate` with typed findings instead of a
-/// first-error-wins result, and adds the advisory checks.
+/// Validates a trace: version, scenario sanity, and the per-event rules
+/// of [`tacc_workload::event_faults`] as typed findings. Subsumes
+/// `Trace::validate` with every finding instead of a first-error-wins
+/// result, and adds the advisory checks.
 #[must_use]
 pub fn validate_trace(trace: &Trace) -> QuarantineReport {
     let mut report = QuarantineReport::new("trace");
@@ -372,57 +374,31 @@ pub fn validate_trace(trace: &Trace) -> QuarantineReport {
     if trace.events.is_empty() {
         report.issues.push(ValidationIssue::EmptyTrace);
     }
-    let mut prev = 0.0_f64;
-    for (index, timed) in trace.events.iter().enumerate() {
-        let t = timed.time_ms;
-        if t.is_finite() {
-            if t < prev {
-                report.issues.push(ValidationIssue::NonMonotoneTimestamps {
-                    index,
-                    prev_ms: prev,
-                    time_ms: t,
-                });
+    report.issues.extend(event_faults(&trace.scenario, 0.0, &trace.events).into_iter().map(
+        |fault| match fault {
+            EventFault::NonFiniteTime { index, time_ms } => {
+                ValidationIssue::NonFiniteTimestamp { index, value: time_ms }
             }
-            prev = t;
-        } else {
-            report.issues.push(ValidationIssue::NonFiniteTimestamp { index, value: t });
-        }
-        match timed.event {
-            TraceEvent::DeviceJoin { device } | TraceEvent::DeviceLeave { device } => {
-                if device >= trace.scenario.num_iot {
-                    report.issues.push(ValidationIssue::IndexOutOfRange {
-                        index,
-                        what: "device",
-                        value: device,
-                        limit: trace.scenario.num_iot,
-                    });
+            EventFault::TimeGoesBackwards { index, prev_ms, time_ms } => {
+                ValidationIssue::NonMonotoneTimestamps { index, prev_ms, time_ms }
+            }
+            EventFault::IndexOutOfRange { index, what, value, limit } => {
+                ValidationIssue::IndexOutOfRange { index, what, value, limit }
+            }
+            EventFault::BadDriftLatency { index, latency_ms } if latency_ms.is_finite() => {
+                ValidationIssue::NegativeLatency {
+                    location: format!("event {index}"),
+                    value: latency_ms,
                 }
             }
-            TraceEvent::ServerFail { server } | TraceEvent::ServerRecover { server } => {
-                if server >= trace.scenario.num_servers {
-                    report.issues.push(ValidationIssue::IndexOutOfRange {
-                        index,
-                        what: "server",
-                        value: server,
-                        limit: trace.scenario.num_servers,
-                    });
+            EventFault::BadDriftLatency { index, latency_ms } => {
+                ValidationIssue::NonFiniteLatency {
+                    location: format!("event {index}"),
+                    value: latency_ms,
                 }
             }
-            TraceEvent::LinkLatencyDrift { latency_ms, .. } => {
-                if !latency_ms.is_finite() {
-                    report.issues.push(ValidationIssue::NonFiniteLatency {
-                        location: format!("event {index}"),
-                        value: latency_ms,
-                    });
-                } else if latency_ms < 0.0 {
-                    report.issues.push(ValidationIssue::NegativeLatency {
-                        location: format!("event {index}"),
-                        value: latency_ms,
-                    });
-                }
-            }
-        }
-    }
+        },
+    ));
     report
 }
 
@@ -546,7 +522,7 @@ pub fn validate_instance(instance: &GapInstance) -> QuarantineReport {
 mod tests {
     use super::*;
     use tacc_topology::NodeKind;
-    use tacc_workload::TimedEvent;
+    use tacc_workload::{TimedEvent, TraceEvent};
 
     fn tiny_trace() -> Trace {
         let scenario = TraceScenario { num_iot: 4, num_servers: 2, ..TraceScenario::default() };

@@ -6,7 +6,7 @@
 //! ```text
 //! ┌────────────┬───────────────────────────────────────────┐
 //! │ 4 bytes BE │ payload: one JSON document, UTF-8          │
-//! │ payload len│ {"v":1,"id":N,"request":{...}}             │
+//! │ payload len│ {"v":3,"id":N,"request":{...}}             │
 //! └────────────┴───────────────────────────────────────────┘
 //! ```
 //!
@@ -14,36 +14,28 @@
 //! carrying the protocol version `v`, a client-chosen correlation `id`
 //! (echoed verbatim in the response), and the message body. The version
 //! is *peeked* from the parsed JSON before the body is shape-checked, so
-//! a frame from a future protocol is answered with a typed
+//! a frame of any other protocol version is answered with a typed
 //! [`ProtoError::UnsupportedVersion`] instead of a misleading
 //! deserialization failure — the same peek-then-parse idiom the snapshot
 //! format uses.
 //!
 //! Compatibility rules (see `DESIGN.md` § Control plane):
 //!
-//! - adding a *new* [`Request`]/[`Response`] variant is backward
-//!   compatible (old peers answer `Malformed` to messages they do not
-//!   know, new peers keep reading old ones);
+//! - this build reads exactly one version, [`PROTOCOL_VERSION`]; every
+//!   other `v`, older or newer, is refused with
+//!   [`ProtoError::UnsupportedVersion`];
+//! - adding a *new* [`Request`]/[`Response`] variant keeps the version
+//!   (peers answer `Malformed` to messages they do not know);
 //! - renaming or re-shaping an existing variant requires bumping
-//!   [`PROTOCOL_VERSION`] *and* teaching the decoder to upgrade the old
-//!   shape — this build reads every version in
-//!   [`MIN_PROTOCOL_VERSION`]`..=`[`PROTOCOL_VERSION`], filling
-//!   version-2 fields (`Push.seq`, `Overloaded.retry_after_ms` /
-//!   `Overloaded.brownout`) with their conservative defaults when a v1
-//!   peer omits them;
+//!   [`PROTOCOL_VERSION`];
 //! - frames larger than [`MAX_FRAME_LEN`] are rejected before
 //!   allocation, so a hostile length prefix cannot balloon memory.
 //!
-//! Version history: **v1** (PR 6) the original vocabulary; **v2** adds
-//! backpressure metadata — `Push` carries an idempotency sequence number
-//! and `Overloaded` carries a deterministic `retry_after_ms` hint plus
-//! the daemon's brownout level, so a shed client knows *why* and *when
-//! to come back*; **v3** adds the high-availability vocabulary — the
-//! primary ships journal lines to a standby with `Replicate` /
-//! `ReplicaAck`, and `Promote` / `Promoted` turn a standby into the
-//! primary. The v3 additions are pure new variants, so v1 and v2 peers
-//! are untouched by the upgrade shim — their payloads decode exactly as
-//! before.
+//! Version 3 is the vocabulary of this crate: `Push` carries an
+//! idempotency sequence number, `Overloaded` carries a deterministic
+//! `retry_after_ms` hint plus the daemon's brownout level, and the
+//! high-availability messages `Replicate` / `ReplicaAck` and `Promote` /
+//! `Promoted` let a primary ship its journal to a standby and hand over.
 //!
 //! Everything here is pure data + framing; the daemon logic lives in
 //! `tacc-serve`.
@@ -61,12 +53,7 @@ pub use message::{
     Request, RequestFrame, Response, ResponseFrame,
 };
 
-/// The wire-protocol version this build writes. Peers reject versions
-/// outside [`MIN_PROTOCOL_VERSION`]`..=PROTOCOL_VERSION` with
+/// The wire-protocol version this build writes and the only one it
+/// reads; any other version is refused with
 /// [`ProtoError::UnsupportedVersion`].
 pub const PROTOCOL_VERSION: u32 = 3;
-
-/// The oldest wire-protocol version this build still reads; v1 payloads
-/// are upgraded in place (missing v2 fields take their documented
-/// defaults) before the typed parse.
-pub const MIN_PROTOCOL_VERSION: u32 = 1;

@@ -5,7 +5,7 @@ use serde_json::Value;
 use tacc_runtime::RuntimeConfig;
 use tacc_workload::{TimedEvent, Trace};
 
-use crate::{ProtoError, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
+use crate::{ProtoError, PROTOCOL_VERSION};
 
 /// What a client may ask the daemon.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -32,11 +32,10 @@ pub enum Request {
     Push {
         /// Time-ordered events, continuing the session's timeline.
         events: Vec<TimedEvent>,
-        /// Client-chosen idempotency sequence number (`0` = unsequenced,
-        /// since v1 peers cannot send one). A re-send of the most
-        /// recently *accepted* nonzero `seq` — after a timeout that lost
-        /// the ack, say — is answered with the recorded acknowledgement
-        /// instead of being journaled twice.
+        /// Client-chosen idempotency sequence number (`0` = unsequenced).
+        /// A re-send of the most recently *accepted* nonzero `seq` —
+        /// after a timeout that lost the ack, say — is answered with the
+        /// recorded acknowledgement instead of being journaled twice.
         seq: u64,
     },
     /// Force-apply everything pending (an explicit event boundary).
@@ -62,7 +61,7 @@ pub enum Request {
     Snapshot,
     /// Stop the daemon cleanly after answering.
     Shutdown,
-    /// (v3) Ship a run of journal lines to a standby. `base` is the
+    /// Ship a run of journal lines to a standby. `base` is the
     /// number of lines the sender believes the standby already holds, so
     /// an idempotent re-ship after a lost ack overlaps instead of
     /// double-applying. Only a daemon started as a standby accepts this;
@@ -74,7 +73,7 @@ pub enum Request {
         /// CRC-framed journal lines, newline-stripped, in journal order.
         lines: Vec<String>,
     },
-    /// (v3) Ask a standby to take over as primary: it rebuilds its
+    /// Ask a standby to take over as primary: it rebuilds its
     /// session through the journal recovery path and starts answering
     /// the full vocabulary. A primary (or solo daemon) treats this as a
     /// no-op acknowledgement so failover clients may probe blindly.
@@ -144,8 +143,8 @@ pub enum Response {
         pending: usize,
     },
     /// Admission control shed the request: the pending backlog would
-    /// exceed the daemon's budget. Typed, so clients can back off — and
-    /// since v2, told *when* to come back and *why* they were shed.
+    /// exceed the daemon's budget. Typed, so clients can back off, and
+    /// told *when* to come back and *why* they were shed.
     Overloaded {
         /// Events currently pending application.
         pending: usize,
@@ -155,11 +154,10 @@ pub enum Response {
         /// Events rejected from this burst (none were applied).
         rejected: usize,
         /// Deterministic back-off hint in milliseconds — a function of
-        /// queue depth and brownout level, never of wall clock. `0`
-        /// means the peer spoke v1 and got no hint.
+        /// queue depth and brownout level, never of wall clock.
         retry_after_ms: u64,
         /// The daemon's brownout ladder level (`normal`, `l1-budget`,
-        /// `l2-alt-oracle`, `l3-tier-shed`; `off` from a v1 daemon).
+        /// `l2-alt-oracle`, `l3-tier-shed`).
         brownout: String,
     },
     /// Pending events were applied.
@@ -234,13 +232,13 @@ pub enum Response {
         /// `RuntimeSnapshot::to_json()` of the current state.
         snapshot_json: String,
     },
-    /// (v3) Answer to [`Request::Replicate`]: the standby's durable
+    /// Answer to [`Request::Replicate`]: the standby's durable
     /// journal length after applying (and fsyncing) the shipped lines.
     ReplicaAck {
         /// Total journal lines the standby now holds.
         acked: u64,
     },
-    /// (v3) Answer to [`Request::Promote`].
+    /// Answer to [`Request::Promote`].
     Promoted {
         /// Events applied by the (possibly freshly rebuilt) session.
         cursor: u64,
@@ -298,20 +296,15 @@ pub fn encode_response(id: u64, response: &Response) -> Vec<u8> {
 }
 
 /// Parses a payload into a JSON value and checks the envelope version
-/// before any shape-dependent parse. Returns the value together with
-/// the version it arrived as.
-fn parse_envelope(payload: &[u8]) -> Result<(Value, u32), ProtoError> {
+/// before any shape-dependent parse, so a frame of another protocol
+/// version is refused by version rather than by a field error.
+fn parse_envelope(payload: &[u8]) -> Result<Value, ProtoError> {
     let text = std::str::from_utf8(payload)
         .map_err(|e| ProtoError::Malformed { reason: format!("payload is not UTF-8: {e}") })?;
     let value: Value = serde_json::from_str(text)
         .map_err(|e| ProtoError::Malformed { reason: format!("payload is not JSON: {e}") })?;
     match value.get("v") {
-        Some(Value::UInt(v))
-            if (u64::from(MIN_PROTOCOL_VERSION)..=u64::from(PROTOCOL_VERSION)).contains(v) =>
-        {
-            let version = u32::try_from(*v).expect("bounded by PROTOCOL_VERSION");
-            Ok((value, version))
-        }
+        Some(Value::UInt(v)) if *v == u64::from(PROTOCOL_VERSION) => Ok(value),
         Some(Value::UInt(v)) => {
             Err(ProtoError::UnsupportedVersion { got: *v, supported: PROTOCOL_VERSION })
         }
@@ -320,74 +313,25 @@ fn parse_envelope(payload: &[u8]) -> Result<(Value, u32), ProtoError> {
     }
 }
 
-/// Inserts `key: value` into an object when the key is absent. No-op on
-/// non-objects (the typed parse reports those properly).
-fn fill_default(value: &mut Value, key: &str, default: Value) {
-    if let Value::Object(fields) = value {
-        if !fields.iter().any(|(k, _)| k == key) {
-            fields.push((key.to_owned(), default));
-        }
-    }
-}
-
-/// Mutable lookup of a variant body: `{"Outer": {"Variant": {...}}}`.
-fn variant_body_mut<'v>(value: &'v mut Value, outer: &str, variant: &str) -> Option<&'v mut Value> {
-    let Value::Object(fields) = value else { return None };
-    let body = fields.iter_mut().find(|(k, _)| k == outer).map(|(_, v)| v)?;
-    let Value::Object(inner) = body else { return None };
-    inner.iter_mut().find(|(k, _)| k == variant).map(|(_, v)| v)
-}
-
-/// Upgrades a v1 request value tree to the v2 shape in place: `Push`
-/// gains its idempotency `seq` (0 = unsequenced, exactly what a v1 peer
-/// means by not sending one).
-fn upgrade_request(value: &mut Value, version: u32) {
-    if version >= 2 {
-        return;
-    }
-    if let Some(push) = variant_body_mut(value, "request", "Push") {
-        fill_default(push, "seq", Value::UInt(0));
-    }
-}
-
-/// Upgrades a v1 response value tree to the v2 shape in place:
-/// `Overloaded` gains its backpressure metadata (no hint, brownout off).
-fn upgrade_response(value: &mut Value, version: u32) {
-    if version >= 2 {
-        return;
-    }
-    if let Some(overloaded) = variant_body_mut(value, "response", "Overloaded") {
-        fill_default(overloaded, "retry_after_ms", Value::UInt(0));
-        fill_default(overloaded, "brownout", Value::Str("off".to_owned()));
-    }
-}
-
-/// Decodes a request payload, version-checking the envelope first; v1
-/// payloads are upgraded in place before the typed parse, so the caller
-/// always sees the current vocabulary.
+/// Decodes a request payload, version-checking the envelope first.
 ///
 /// # Errors
 ///
-/// [`ProtoError::UnsupportedVersion`] for a foreign `v`,
-/// [`ProtoError::Malformed`] for anything that is not a well-formed
-/// request envelope.
+/// [`ProtoError::UnsupportedVersion`] for any `v` other than
+/// [`PROTOCOL_VERSION`], [`ProtoError::Malformed`] for anything that is
+/// not a well-formed request envelope.
 pub fn decode_request(payload: &[u8]) -> Result<RequestFrame, ProtoError> {
-    let (mut value, version) = parse_envelope(payload)?;
-    upgrade_request(&mut value, version);
-    serde_json::from_value(&value)
+    serde_json::from_value(&parse_envelope(payload)?)
         .map_err(|e| ProtoError::Malformed { reason: format!("request envelope: {e}") })
 }
 
-/// Decodes a response payload, version-checking the envelope first; v1
-/// payloads are upgraded in place before the typed parse.
+/// Decodes a response payload, version-checking the envelope first.
 ///
 /// # Errors
 ///
 /// As [`decode_request`], for response envelopes.
 pub fn decode_response(payload: &[u8]) -> Result<ResponseFrame, ProtoError> {
-    let (mut value, version) = parse_envelope(payload)?;
-    upgrade_response(&mut value, version);
-    serde_json::from_value(&value)
+    serde_json::from_value(&parse_envelope(payload)?)
         .map_err(|e| ProtoError::Malformed { reason: format!("response envelope: {e}") })
 }
 
@@ -451,63 +395,29 @@ mod tests {
 
     #[test]
     fn unknown_versions_are_typed_not_parse_errors() {
-        let bytes = br#"{"v":99,"id":1,"request":{"Stats":null}}"#;
-        let err = decode_request(bytes).unwrap_err();
-        let ProtoError::UnsupportedVersion { got, supported } = err else {
-            panic!("got {err:?}");
-        };
-        assert_eq!(got, 99);
-        assert_eq!(supported, PROTOCOL_VERSION);
-    }
-
-    #[test]
-    fn v1_requests_upgrade_to_the_current_vocabulary() {
-        // A v1 Push has no `seq`; the decoder fills the unsequenced 0.
-        let bytes = br#"{"v":1,"id":9,"request":{"Push":{"events":[]}}}"#;
-        let frame = decode_request(bytes).unwrap();
-        assert_eq!(frame.v, 1, "the arrival version is preserved");
-        assert_eq!(frame.request, Request::Push { events: Vec::new(), seq: 0 });
-        // Other v1 requests pass through untouched.
-        let bytes = br#"{"v":1,"id":1,"request":{"Stats":null}}"#;
-        assert_eq!(decode_request(bytes).unwrap().request, Request::Stats);
-    }
-
-    #[test]
-    fn v1_overloaded_responses_upgrade_with_conservative_defaults() {
-        let bytes = br#"{"v":1,"id":4,"response":{"Overloaded":{"pending":10,"max_pending":12,"rejected":5}}}"#;
-        let frame = decode_response(bytes).unwrap();
-        let Response::Overloaded { pending, max_pending, rejected, retry_after_ms, brownout } =
-            frame.response
-        else {
-            panic!("wrong shape");
-        };
-        assert_eq!((pending, max_pending, rejected), (10, 12, 5));
-        assert_eq!(retry_after_ms, 0, "a v1 daemon gave no hint");
-        assert_eq!(brownout, "off");
-    }
-
-    #[test]
-    fn v2_payloads_with_explicit_fields_are_untouched_by_the_upgrade() {
-        let original = Request::Push { events: Vec::new(), seq: 17 };
-        let frame = decode_request(&encode_request(1, &original)).unwrap();
-        assert_eq!(frame.v, PROTOCOL_VERSION);
-        assert_eq!(frame.request, original);
-    }
-
-    #[test]
-    fn v2_payloads_decode_unchanged_under_a_v3_build() {
-        // A v2 peer's Push already carries seq; the v3 decoder must not
-        // touch it (the v3 additions are pure new variants).
-        let bytes = br#"{"v":2,"id":5,"request":{"Push":{"events":[],"seq":11}}}"#;
-        let frame = decode_request(bytes).unwrap();
-        assert_eq!(frame.v, 2);
-        assert_eq!(frame.request, Request::Push { events: Vec::new(), seq: 11 });
-        let bytes = br#"{"v":2,"id":5,"response":{"Overloaded":{"pending":1,"max_pending":2,"rejected":1,"retry_after_ms":8,"brownout":"normal"}}}"#;
-        let frame = decode_response(bytes).unwrap();
-        let Response::Overloaded { retry_after_ms, brownout, .. } = frame.response else {
-            panic!("wrong shape");
-        };
-        assert_eq!((retry_after_ms, brownout.as_str()), (8, "normal"));
+        // Well-formed bodies of older and newer protocols alike — a v1
+        // Push without `seq`, a v2 Overloaded, a v4 frame — are refused
+        // by version, never decoded or misreported as Malformed.
+        let refused =
+            |got: u64| ProtoError::UnsupportedVersion { got, supported: PROTOCOL_VERSION };
+        for (version, text) in [
+            (1, r#"{"v":1,"id":9,"request":{"Push":{"events":[]}}}"#),
+            (2, r#"{"v":2,"id":5,"request":{"Push":{"events":[],"seq":11}}}"#),
+            (4, r#"{"v":4,"id":1,"request":{"Stats":null}}"#),
+            (99, r#"{"v":99,"id":1,"request":{"Stats":null}}"#),
+        ] {
+            assert_eq!(decode_request(text.as_bytes()).unwrap_err(), refused(version));
+        }
+        let v1_overloaded = r#"{"pending":10,"max_pending":12,"rejected":5}"#;
+        let v2_overloaded =
+            r#"{"pending":1,"max_pending":2,"rejected":1,"retry_after_ms":8,"brownout":"normal"}"#;
+        for (version, text) in [
+            (1, format!(r#"{{"v":1,"id":4,"response":{{"Overloaded":{v1_overloaded}}}}}"#)),
+            (2, format!(r#"{{"v":2,"id":5,"response":{{"Overloaded":{v2_overloaded}}}}}"#)),
+            (4, r#"{"v":4,"id":1,"response":{"Bye":null}}"#.to_owned()),
+        ] {
+            assert_eq!(decode_response(text.as_bytes()).unwrap_err(), refused(version));
+        }
     }
 
     #[test]
@@ -517,8 +427,8 @@ mod tests {
             b"not json",                                     // not JSON
             b"{\"id\":1}",                                   // no version
             b"{\"v\":\"one\",\"id\":1}",                     // version not an integer
-            b"{\"v\":1,\"id\":1}",                           // no body
-            b"{\"v\":1,\"id\":1,\"request\":{\"Nope\":{}}}", // unknown message
+            b"{\"v\":3,\"id\":1}",                           // no body
+            b"{\"v\":3,\"id\":1,\"request\":{\"Nope\":{}}}", // unknown message
         ] {
             let err = decode_request(payload).unwrap_err();
             assert!(matches!(err, ProtoError::Malformed { .. }), "{payload:?}: {err:?}");

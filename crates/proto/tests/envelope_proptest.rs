@@ -1,14 +1,13 @@
-//! Property: the version-upgrade shim is the identity on well-formed
-//! v1, v2 and v3 envelopes. Whatever a peer legitimately sends —
-//! including a v1 `Push` without `seq` and a v1 `Overloaded` without
-//! backpressure metadata — decodes to the documented vocabulary, and
-//! re-encoding a decoded body round-trips bit-for-bit.
+//! Property: envelopes round-trip bit-for-bit at the one protocol
+//! version this build speaks, and the same envelope tagged with any other
+//! version is refused with a typed `UnsupportedVersion` naming it —
+//! never decoded, never reported as `Malformed`.
 
 use proptest::prelude::*;
 
 use tacc_proto::{
-    decode_request, decode_response, encode_request, encode_response, ErrorCode, Request, Response,
-    PROTOCOL_VERSION,
+    decode_request, decode_response, encode_request, encode_response, ErrorCode, ProtoError,
+    Request, Response, PROTOCOL_VERSION,
 };
 
 fn request_strategy() -> impl Strategy<Value = Request> {
@@ -45,113 +44,55 @@ fn response_strategy() -> impl Strategy<Value = Response> {
     })
 }
 
-/// Serializes a request body at an arbitrary historical version,
-/// dropping the fields that version did not know about.
-fn encode_request_at(version: u32, id: u64, request: &Request) -> Vec<u8> {
-    let mut bytes = encode_request(id, request);
-    let text = String::from_utf8(std::mem::take(&mut bytes)).expect("utf-8");
-    let mut text =
-        text.replacen(&format!("\"v\":{PROTOCOL_VERSION}"), &format!("\"v\":{version}"), 1);
-    if version < 2 {
-        // A v1 peer never writes Push.seq; strip it to mimic one. Only
-        // seq:0 (unsequenced) is a legal v1 downgrade.
-        if let Request::Push { seq: 0, .. } = request {
-            text = text.replace(",\"seq\":0", "");
-        }
-    }
-    text.into_bytes()
+/// Re-tags an encoded envelope with another protocol version.
+fn retag(bytes: &[u8], version: u32) -> Vec<u8> {
+    let text = std::str::from_utf8(bytes).expect("encoders write UTF-8");
+    text.replacen(&format!("\"v\":{PROTOCOL_VERSION}"), &format!("\"v\":{version}"), 1).into_bytes()
 }
 
-fn encode_response_at(version: u32, id: u64, response: &Response) -> Vec<u8> {
-    let mut bytes = encode_response(id, response);
-    let text = String::from_utf8(std::mem::take(&mut bytes)).expect("utf-8");
-    let mut text =
-        text.replacen(&format!("\"v\":{PROTOCOL_VERSION}"), &format!("\"v\":{version}"), 1);
-    if version < 2 {
-        if let Response::Overloaded { retry_after_ms: 0, brownout, .. } = response {
-            if brownout == "off" {
-                text = text.replace(",\"retry_after_ms\":0,\"brownout\":\"off\"", "");
-            }
-        }
-    }
-    text.into_bytes()
-}
-
-/// The v3 vocabulary did not exist before v3; older envelopes cannot
-/// legally carry it.
-fn min_version_for_request(request: &Request) -> u32 {
-    match request {
-        Request::Replicate { .. } | Request::Promote => 3,
-        Request::Push { seq, .. } if *seq != 0 => 2,
-        _ => 1,
-    }
-}
-
-fn min_version_for_response(response: &Response) -> u32 {
-    match response {
-        Response::ReplicaAck { .. } | Response::Promoted { .. } => 3,
-        Response::Overloaded { retry_after_ms, brownout, .. }
-            if *retry_after_ms != 0 || brownout != "off" =>
-        {
-            2
-        }
-        _ => 1,
-    }
+/// Every version other than [`PROTOCOL_VERSION`] a peer might send.
+fn other_versions() -> impl Iterator<Item = u32> {
+    (0..=PROTOCOL_VERSION + 4).filter(|&v| v != PROTOCOL_VERSION)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Decoding an envelope written at any legal version yields exactly
-    /// the body that was encoded, with the arrival version preserved,
-    /// and re-encoding the decoded body is the identity.
+    /// A request envelope decodes to exactly the body that was encoded,
+    /// re-encoding it is the identity, and the same bytes under any other
+    /// version are refused by version.
     #[test]
     fn request_envelopes_survive_every_version(request in request_strategy(), id in (0u64..1_000_000_000)) {
-        for version in min_version_for_request(&request)..=PROTOCOL_VERSION {
-            let bytes = encode_request_at(version, id, &request);
-            let frame = decode_request(&bytes).expect("well-formed envelope decodes");
-            prop_assert_eq!(frame.v, version, "arrival version is preserved");
-            prop_assert_eq!(frame.id, id);
-            prop_assert_eq!(&frame.request, &request);
-            // Re-encode at the current version: bit-for-bit stable.
-            let reencoded = encode_request(id, &frame.request);
-            let reframe = decode_request(&reencoded).expect("re-encoded envelope decodes");
-            prop_assert_eq!(&reframe.request, &request);
-            prop_assert_eq!(reencoded, encode_request(id, &request));
+        let bytes = encode_request(id, &request);
+        let frame = decode_request(&bytes).expect("well-formed envelope decodes");
+        prop_assert_eq!(frame.v, PROTOCOL_VERSION);
+        prop_assert_eq!(frame.id, id);
+        prop_assert_eq!(&frame.request, &request);
+        prop_assert_eq!(encode_request(id, &frame.request), bytes.clone());
+        for version in other_versions() {
+            let err = decode_request(&retag(&bytes, version)).expect_err("other versions refused");
+            prop_assert_eq!(
+                err,
+                ProtoError::UnsupportedVersion { got: u64::from(version), supported: PROTOCOL_VERSION }
+            );
         }
     }
 
-    /// Same for responses, including the v1 `Overloaded` upgrade path.
+    /// Same for responses.
     #[test]
     fn response_envelopes_survive_every_version(response in response_strategy(), id in (0u64..1_000_000_000)) {
-        for version in min_version_for_response(&response)..=PROTOCOL_VERSION {
-            let bytes = encode_response_at(version, id, &response);
-            let frame = decode_response(&bytes).expect("well-formed envelope decodes");
-            prop_assert_eq!(frame.v, version);
-            prop_assert_eq!(frame.id, id);
-            prop_assert_eq!(&frame.response, &response);
-            let reencoded = encode_response(id, &frame.response);
-            let reframe = decode_response(&reencoded).expect("re-encoded envelope decodes");
-            prop_assert_eq!(&reframe.response, &response);
-            prop_assert_eq!(reencoded, encode_response(id, &response));
+        let bytes = encode_response(id, &response);
+        let frame = decode_response(&bytes).expect("well-formed envelope decodes");
+        prop_assert_eq!(frame.v, PROTOCOL_VERSION);
+        prop_assert_eq!(frame.id, id);
+        prop_assert_eq!(&frame.response, &response);
+        prop_assert_eq!(encode_response(id, &frame.response), bytes.clone());
+        for version in other_versions() {
+            let err = decode_response(&retag(&bytes, version)).expect_err("other versions refused");
+            prop_assert_eq!(
+                err,
+                ProtoError::UnsupportedVersion { got: u64::from(version), supported: PROTOCOL_VERSION }
+            );
         }
-    }
-
-    /// A v1 Push without seq decodes to the unsequenced 0; a v1
-    /// Overloaded without metadata takes the conservative defaults.
-    #[test]
-    fn v1_omissions_take_documented_defaults(id in (0u64..1_000_000_000)) {
-        let bytes = format!("{{\"v\":1,\"id\":{id},\"request\":{{\"Push\":{{\"events\":[]}}}}}}");
-        let frame = decode_request(bytes.as_bytes()).expect("v1 push decodes");
-        prop_assert_eq!(frame.request, Request::Push { events: Vec::new(), seq: 0 });
-        let bytes = format!(
-            "{{\"v\":1,\"id\":{id},\"response\":{{\"Overloaded\":{{\"pending\":3,\"max_pending\":4,\"rejected\":2}}}}}}"
-        );
-        let frame = decode_response(bytes.as_bytes()).expect("v1 overloaded decodes");
-        let Response::Overloaded { retry_after_ms, brownout, .. } = frame.response else {
-            return Err(TestCaseError::fail("wrong shape"));
-        };
-        prop_assert_eq!(retry_after_ms, 0);
-        prop_assert_eq!(brownout, "off");
     }
 }

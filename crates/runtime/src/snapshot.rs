@@ -65,9 +65,12 @@ impl RuntimeSnapshot {
     /// The snapshot format this build writes and reads.
     pub const FORMAT_VERSION: u32 = 2;
 
-    /// Serializes the snapshot to deterministic, pretty-printed JSON.
+    /// Serializes the snapshot to deterministic, compact JSON — the same
+    /// bytes a journal `Snapshot` record carries, so a `--snapshot-out`
+    /// file, a served `Snapshot` answer and a journaled restore point are
+    /// one encoding.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("snapshot serialization is infallible")
+        serde_json::to_string(self).expect("snapshot serialization is infallible")
     }
 
     /// Parses a snapshot previously produced by [`RuntimeSnapshot::to_json`].

@@ -4,12 +4,13 @@ use serde_json::Value;
 use tacc_chaos::{scan_journal, Journal, JournalRecord, RecoveryPolicy};
 use tacc_core::Algorithm;
 use tacc_gap::GapInstance;
+use tacc_guard::validate::validate_snapshot;
 use tacc_guard::{Budget, Supervisor, SupervisorConfig};
 use tacc_obs::StreamWriter;
 use tacc_proto::{ErrorCode, QueryState, Response};
 use tacc_runtime::{DeviceState, Runtime, RuntimeConfig};
 use tacc_topology::{AltOracle, DelayOracle};
-use tacc_workload::{TimedEvent, Trace, TraceEvent};
+use tacc_workload::{event_faults, TimedEvent, Trace, TraceEvent};
 
 use std::sync::Mutex;
 
@@ -178,8 +179,9 @@ impl Session {
     /// # Errors
     ///
     /// [`ServeError::State`] when no journal is configured, the journal
-    /// is damaged beyond its torn tail, or it lacks a session scenario;
-    /// plus everything [`Session::start`] can return.
+    /// is damaged beyond its torn tail, it lacks a session scenario, or
+    /// its restore-point snapshot fails the input quarantine; plus
+    /// everything [`Session::start`] can return.
     pub fn recover(cfg: &ServeConfig) -> Result<Session, ServeError> {
         let Some(path) = cfg.journal.clone() else {
             return Err(ServeError::state("recovery needs --journal"));
@@ -231,6 +233,11 @@ impl Session {
         failpoint("snapshot.load")?;
         let mut runtime = match last_snapshot {
             Some(snapshot) => {
+                // Serde bypasses every builder check: gate the restore
+                // point through the same quarantine `--resume` uses.
+                validate_snapshot(&snapshot)
+                    .gate(false)
+                    .map_err(|e| ServeError::state(e.to_string()))?;
                 Runtime::restore(snapshot, &trace).map_err(|e| ServeError::state(e.to_string()))?
             }
             None => Runtime::from_trace(&trace, scan.config)
@@ -321,7 +328,7 @@ impl Session {
     /// acknowledgement — no re-journal, no duplicate events — so a
     /// client that lost the ack to a timeout can retry blindly.
     /// Rejections are never recorded, so a shed sequence number retries
-    /// into real admission. `seq == 0` means unsequenced (v1 behavior).
+    /// into real admission. `seq == 0` means unsequenced.
     ///
     /// Every admission decision feeds the [`SurgeController`]; under
     /// deep brownout (L2+) a burst carrying no top-tier device faces a
@@ -338,8 +345,11 @@ impl Session {
                 return Ok(ack.clone());
             }
         }
-        if let Err(reason) = self.validate_burst(&events) {
-            return Ok(Response::Error { code: ErrorCode::BadRequest, message: reason });
+        // The burst continues the session timeline: validated whole,
+        // from the last accepted event's time.
+        let start_ms = self.trace.events.last().map_or(0.0, |t| t.time_ms);
+        if let Some(fault) = event_faults(&self.trace.scenario, start_ms, &events).first() {
+            return Ok(Response::Error { code: ErrorCode::BadRequest, message: fault.to_string() });
         }
         let pending = self.pending();
         let low_tier = self.burst_is_low_tier(&events);
@@ -820,49 +830,6 @@ impl Session {
             stream
                 .finish(&tacc_obs::registry_snapshot())
                 .map_err(|e| ServeError::io("finishing obs stream", &e))?;
-        }
-        Ok(())
-    }
-
-    /// Validates a burst against the scenario and the session timeline
-    /// (the same structural rules as [`Trace::validate`], applied
-    /// incrementally), without touching state.
-    fn validate_burst(&self, events: &[TimedEvent]) -> Result<(), String> {
-        let mut last = self.trace.events.last().map_or(0.0, |t| t.time_ms);
-        for (i, timed) in events.iter().enumerate() {
-            let t = timed.time_ms;
-            if !t.is_finite() || t < 0.0 {
-                return Err(format!("event {i}: time {t} is not finite and non-negative"));
-            }
-            if t < last {
-                return Err(format!("event {i}: time {t} goes backwards (previous {last})"));
-            }
-            last = t;
-            match timed.event {
-                TraceEvent::DeviceJoin { device } | TraceEvent::DeviceLeave { device } => {
-                    if device >= self.trace.scenario.num_iot {
-                        return Err(format!(
-                            "event {i}: device {device} out of range ({})",
-                            self.trace.scenario.num_iot
-                        ));
-                    }
-                }
-                TraceEvent::ServerFail { server } | TraceEvent::ServerRecover { server } => {
-                    if server >= self.trace.scenario.num_servers {
-                        return Err(format!(
-                            "event {i}: server {server} out of range ({})",
-                            self.trace.scenario.num_servers
-                        ));
-                    }
-                }
-                TraceEvent::LinkLatencyDrift { latency_ms, .. } => {
-                    if !latency_ms.is_finite() || latency_ms < 0.0 {
-                        return Err(format!(
-                            "event {i}: drift latency {latency_ms} is not finite and non-negative"
-                        ));
-                    }
-                }
-            }
         }
         Ok(())
     }

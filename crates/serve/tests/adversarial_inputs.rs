@@ -82,12 +82,24 @@ fn an_oversized_length_prefix_is_dropped_without_allocation() {
 fn an_unknown_protocol_version_is_answered_not_dropped() {
     let (addr, handle) = boot();
     let mut client = Client::connect_tcp(&addr).unwrap();
-    let response = client.send_raw(br#"{"v":99,"id":42,"request":{"Stats":null}}"#).unwrap();
-    let Response::Error { code, message } = response else {
-        panic!("expected a typed error, got {response:?}");
-    };
-    assert_eq!(code, ErrorCode::UnsupportedVersion);
-    assert!(message.contains("99"), "names the offending version: {message}");
+    // Older protocols are refused exactly like future ones: a v1 Push
+    // without `seq` is not upgraded, it is answered by version.
+    for (version, payload) in [
+        (1, r#"{"v":1,"id":42,"request":{"Push":{"events":[]}}}"#),
+        (2, r#"{"v":2,"id":42,"request":{"Stats":null}}"#),
+        (4, r#"{"v":4,"id":42,"request":{"Stats":null}}"#),
+        (99, r#"{"v":99,"id":42,"request":{"Stats":null}}"#),
+    ] {
+        let response = client.send_raw(payload.as_bytes()).unwrap();
+        let Response::Error { code, message } = response else {
+            panic!("v{version}: expected a typed error, got {response:?}");
+        };
+        assert_eq!(code, ErrorCode::UnsupportedVersion);
+        assert!(
+            message.contains(&format!("version {version} ")),
+            "names the offending version: {message}"
+        );
+    }
     // The same connection keeps working — the stream is still framed.
     let response = client.hello("still-here").unwrap();
     assert!(matches!(response, Response::Hello { .. }));
@@ -102,9 +114,9 @@ fn malformed_payloads_are_answered_with_typed_errors() {
         &b"\xff\xfe\xfd"[..],                                          // not UTF-8
         b"Mary had a little lamb",                                     // not JSON
         b"{}",                                                         // no envelope
-        b"{\"v\":1,\"id\":3}",                                         // no body
-        b"{\"v\":1,\"id\":3,\"request\":{\"Evil\":{}}}",               // unknown message
-        b"{\"v\":1,\"id\":3,\"request\":{\"Query\":{\"device\":-1}}}", // wrong field type
+        b"{\"v\":3,\"id\":3}",                                         // no body
+        b"{\"v\":3,\"id\":3,\"request\":{\"Evil\":{}}}",               // unknown message
+        b"{\"v\":3,\"id\":3,\"request\":{\"Query\":{\"device\":-1}}}", // wrong field type
     ] {
         let response = client.send_raw(payload).unwrap();
         let Response::Error { code, .. } = response else {
@@ -160,24 +172,33 @@ fn overload_answers_carry_the_decision_inputs_on_both_wire_versions() {
     let response = client.push(trace.events[..8].to_vec()).unwrap();
     assert!(matches!(response, Response::Accepted { pending: 8, .. }), "got {response:?}");
 
-    // One drift event, hand-serialized: a v1 frame (no seq field — the
-    // upgrade shim must default it) and a v2 frame. Both must be
+    // One drift event, hand-serialized in a v3 frame: it must be
     // answered with the full five-field Overloaded — backlog, effective
     // cap, rejected count, retry hint, brownout label.
     let event = r#"{"time_ms":1e9,"event":{"LinkLatencyDrift":{"link":0,"latency_ms":1.5}}}"#;
+    let frame =
+        format!(r#"{{"v":3,"id":9,"request":{{"Push":{{"events":[{event},{event}],"seq":0}}}}}}"#);
+    let response = client.send_raw(frame.as_bytes()).unwrap();
+    let Response::Overloaded { pending, max_pending, rejected, retry_after_ms, brownout } =
+        response
+    else {
+        panic!("{frame}: expected Overloaded, got {response:?}");
+    };
+    assert_eq!((pending, max_pending, rejected), (8, 8, 2), "{frame}");
+    assert!(retry_after_ms > 0, "{frame}: a shed burst carries a retry hint");
+    assert!(!brownout.is_empty(), "{frame}: a shed burst reports the brownout level");
+
+    // The same burst in v1 (no seq) and v2 frames is refused by version
+    // before admission control ever sees it.
     for frame in [
         format!(r#"{{"v":1,"id":7,"request":{{"Push":{{"events":[{event},{event}]}}}}}}"#),
         format!(r#"{{"v":2,"id":8,"request":{{"Push":{{"events":[{event},{event}],"seq":0}}}}}}"#),
     ] {
         let response = client.send_raw(frame.as_bytes()).unwrap();
-        let Response::Overloaded { pending, max_pending, rejected, retry_after_ms, brownout } =
-            response
-        else {
-            panic!("{frame}: expected Overloaded, got {response:?}");
+        let Response::Error { code, .. } = response else {
+            panic!("{frame}: expected a version refusal, got {response:?}");
         };
-        assert_eq!((pending, max_pending, rejected), (8, 8, 2), "{frame}");
-        assert!(retry_after_ms > 0, "{frame}: a shed burst carries a retry hint");
-        assert!(!brownout.is_empty(), "{frame}: a shed burst reports the brownout level");
+        assert_eq!(code, ErrorCode::UnsupportedVersion, "{frame}");
     }
 
     // The connection survived the sheds, and the shed events left no

@@ -267,6 +267,57 @@ fn a_dropped_session_recovers_byte_identically_from_its_journal() {
 }
 
 #[test]
+fn a_journal_snapshot_that_fails_quarantine_is_refused_on_recovery() {
+    use tacc_chaos::{Journal, JournalRecord};
+    use tacc_runtime::RuntimeSnapshot;
+
+    let trace = trace(120, 57);
+    let dir = temp_dir("quarantine");
+    let journal = dir.join("session.jsonl");
+    let cfg = ServeConfig { journal: Some(journal.clone()), ..ServeConfig::default() };
+    let mut snapshot = {
+        let mut session = Session::start(shell(&trace), runtime_config(), &cfg).unwrap();
+        session.push(trace.events.clone(), 0).unwrap();
+        RuntimeSnapshot::from_json(&session.snapshot_json().unwrap()).unwrap()
+    };
+    // A CRC-intact restore point whose priorities are NaN: nothing but
+    // the quarantine stands between it and the runtime's sort keys.
+    snapshot.config.priorities = vec![f64::NAN; scenario().num_iot];
+    Journal::open_append(&journal).unwrap().append(&JournalRecord::Snapshot { snapshot }).unwrap();
+
+    let err = Session::recover(&cfg).unwrap_err().to_string();
+    assert!(err.contains("quarantined") && err.contains("bad priority"), "got: {err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn the_snapshot_answer_is_the_journaled_snapshot_byte_for_byte() {
+    let trace = trace(150, 59);
+    let dir = temp_dir("one-encoding");
+    let journal = dir.join("session.jsonl");
+    let (addr, handle) =
+        boot(ServeConfig { journal: Some(journal.clone()), ..ServeConfig::default() });
+    let mut client = Client::connect_tcp(&addr).unwrap();
+    client.init(shell(&trace), runtime_config()).unwrap();
+    client.push(trace.events.clone()).unwrap();
+    let Response::Snapshot { snapshot_json } = client.snapshot().unwrap() else {
+        panic!("snapshot must answer Snapshot");
+    };
+    // Shutdown closes the session, which journals a final snapshot of
+    // the same (fully flushed) state.
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+
+    let text = std::fs::read_to_string(&journal).unwrap();
+    let last = text.lines().last().unwrap();
+    let marker = "\"record\":{\"Snapshot\":{\"snapshot\":";
+    let start = last.find(marker).expect("the final record is a Snapshot") + marker.len();
+    let journaled = last[start..].strip_suffix("}}}").expect("frame closes the record");
+    assert_eq!(snapshot_json, journaled, "one snapshot encoding on the wire and in the journal");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn sessions_work_over_unix_sockets_too() {
     let trace = trace(60, 61);
     let dir = temp_dir("uds");

@@ -42,4 +42,6 @@ pub use error::WorkloadError;
 pub use scenario::{Scenario, ScenarioBuilder, TopologyFamily};
 pub use surge::{compose_traces, tier_priorities, SurgeGenerator};
 pub use sweep::seeds;
-pub use trace::{TimedEvent, Trace, TraceEvent, TraceGenerator, TraceScenario};
+pub use trace::{
+    event_faults, EventFault, TimedEvent, Trace, TraceEvent, TraceGenerator, TraceScenario,
+};

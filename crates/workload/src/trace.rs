@@ -142,11 +142,9 @@ impl Trace {
     /// The trace JSON format version this crate reads and writes.
     pub const FORMAT_VERSION: u32 = 1;
 
-    /// Structural validation: format version, finite non-decreasing
-    /// times, device/server indices within the scenario's ranges, finite
-    /// non-negative drift latencies. Link indices can only be checked
-    /// against the materialized topology, which the replaying runtime
-    /// does.
+    /// Structural validation: format version, then the per-event rules
+    /// of [`event_faults`]. Link indices can only be checked against the
+    /// materialized topology, which the replaying runtime does.
     ///
     /// # Errors
     ///
@@ -160,44 +158,9 @@ impl Trace {
                 Trace::FORMAT_VERSION
             ));
         }
-        let mut last = 0.0f64;
-        for (idx, timed) in self.events.iter().enumerate() {
-            let t = timed.time_ms;
-            if !t.is_finite() || t < 0.0 {
-                return invalid(format!("event {idx}: time {t} is not finite and non-negative"));
-            }
-            if t < last {
-                return invalid(format!("event {idx}: time {t} goes backwards (previous {last})"));
-            }
-            last = t;
-            match timed.event {
-                TraceEvent::DeviceJoin { device } | TraceEvent::DeviceLeave { device } => {
-                    if device >= self.scenario.num_iot {
-                        return invalid(format!(
-                            "event {idx}: device {device} out of range ({})",
-                            self.scenario.num_iot
-                        ));
-                    }
-                }
-                TraceEvent::ServerFail { server } | TraceEvent::ServerRecover { server } => {
-                    if server >= self.scenario.num_servers {
-                        return invalid(format!(
-                            "event {idx}: server {server} out of range ({})",
-                            self.scenario.num_servers
-                        ));
-                    }
-                }
-                TraceEvent::LinkLatencyDrift { latency_ms, .. } => {
-                    if !latency_ms.is_finite() || latency_ms < 0.0 {
-                        return invalid(format!(
-                            "event {idx}: drift latency {latency_ms} is not finite and \
-                             non-negative"
-                        ));
-                    }
-                }
-            }
-        }
-        Ok(())
+        event_faults(&self.scenario, 0.0, &self.events)
+            .first()
+            .map_or(Ok(()), |fault| invalid(fault.to_string()))
     }
 
     /// Serializes to the pretty-printed JSON trace format.
@@ -232,6 +195,115 @@ impl Trace {
         }
         hash
     }
+}
+
+/// One broken per-event rule, found by [`event_faults`]. `index` is the
+/// event's position in the slice that was checked.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum EventFault {
+    /// The event time is NaN or infinite.
+    NonFiniteTime {
+        /// Event index.
+        index: usize,
+        /// The offending time.
+        time_ms: f64,
+    },
+    /// The event time is earlier than the previous event's, or than the
+    /// timeline start for the first event — which makes any negative
+    /// time a fault, since timelines start at or after 0.
+    TimeGoesBackwards {
+        /// Event index.
+        index: usize,
+        /// The latest finite time before this event.
+        prev_ms: f64,
+        /// The offending time.
+        time_ms: f64,
+    },
+    /// A device or server index is outside the scenario.
+    IndexOutOfRange {
+        /// Event index.
+        index: usize,
+        /// `"device"` or `"server"`.
+        what: &'static str,
+        /// The offending index.
+        value: usize,
+        /// The exclusive upper bound.
+        limit: usize,
+    },
+    /// A drift latency is NaN, infinite or negative.
+    BadDriftLatency {
+        /// Event index.
+        index: usize,
+        /// The offending latency.
+        latency_ms: f64,
+    },
+}
+
+impl std::fmt::Display for EventFault {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            EventFault::TimeGoesBackwards { index, prev_ms, time_ms } if time_ms >= 0.0 => {
+                write!(f, "event {index}: time {time_ms} goes backwards (previous {prev_ms})")
+            }
+            EventFault::NonFiniteTime { index, time_ms }
+            | EventFault::TimeGoesBackwards { index, time_ms, .. } => {
+                write!(f, "event {index}: time {time_ms} is not finite and non-negative")
+            }
+            EventFault::IndexOutOfRange { index, what, value, limit } => {
+                write!(f, "event {index}: {what} {value} out of range ({limit})")
+            }
+            EventFault::BadDriftLatency { index, latency_ms } => write!(
+                f,
+                "event {index}: drift latency {latency_ms} is not finite and non-negative"
+            ),
+        }
+    }
+}
+
+/// Checks a run of timed events against the per-event rules every trace,
+/// quarantine pass and wire burst obeys: times finite and non-decreasing
+/// from `start_ms` (the timeline's previous event time, `0.0` for a whole
+/// trace), device and server indices inside `scenario`, drift latencies
+/// finite and non-negative. Returns every fault, in event order; an
+/// event's time fault precedes its index or latency fault. A faulty
+/// finite time still becomes the reference for the next event.
+#[must_use]
+pub fn event_faults(
+    scenario: &TraceScenario,
+    start_ms: f64,
+    events: &[TimedEvent],
+) -> Vec<EventFault> {
+    let mut faults = Vec::new();
+    let mut prev_ms = start_ms;
+    for (index, timed) in events.iter().enumerate() {
+        let time_ms = timed.time_ms;
+        if !time_ms.is_finite() {
+            faults.push(EventFault::NonFiniteTime { index, time_ms });
+        } else {
+            if time_ms < prev_ms {
+                faults.push(EventFault::TimeGoesBackwards { index, prev_ms, time_ms });
+            }
+            prev_ms = time_ms;
+        }
+        let (what, value, limit) = match timed.event {
+            TraceEvent::DeviceJoin { device } | TraceEvent::DeviceLeave { device } => {
+                ("device", device, scenario.num_iot)
+            }
+            TraceEvent::ServerFail { server } | TraceEvent::ServerRecover { server } => {
+                ("server", server, scenario.num_servers)
+            }
+            TraceEvent::LinkLatencyDrift { latency_ms, .. } => {
+                if !latency_ms.is_finite() || latency_ms < 0.0 {
+                    faults.push(EventFault::BadDriftLatency { index, latency_ms });
+                }
+                continue;
+            }
+        };
+        if value >= limit {
+            faults.push(EventFault::IndexOutOfRange { index, what, value, limit });
+        }
+    }
+    faults
 }
 
 /// Seeded generator of consistent [`Trace`]s.
