@@ -489,8 +489,23 @@ pub fn scan_journal(path: &Path, policy: RecoveryPolicy) -> Result<JournalScan, 
         }
     }
 
-    let Some(JournalRecord::Begin { journal_version, trace_fingerprint, config }) = records.first()
-    else {
+    let (trace_fingerprint, config) = begin_pins(records.first())?;
+    let config = config.clone();
+    Ok(JournalScan { trace_fingerprint, config, records, torn_tail, corrupt_records })
+}
+
+/// The pins a journal's first record carries — the trace fingerprint and
+/// the runtime configuration — or the typed refusal of a journal that
+/// does not open with a `Begin` record of [`JOURNAL_VERSION`]. This is
+/// the check [`scan_journal`] makes, and the one a replication standby
+/// makes on the first line it is shipped.
+///
+/// # Errors
+///
+/// [`ChaosError::Journal`] when `first` is missing, is not a `Begin`
+/// record, or pins another journal version.
+pub fn begin_pins(first: Option<&JournalRecord>) -> Result<(u64, &RuntimeConfig), ChaosError> {
+    let Some(JournalRecord::Begin { journal_version, trace_fingerprint, config }) = first else {
         return Err(ChaosError::Journal {
             reason: "journal does not start with a Begin record".to_owned(),
         });
@@ -502,8 +517,7 @@ pub fn scan_journal(path: &Path, policy: RecoveryPolicy) -> Result<JournalScan, 
             ),
         });
     }
-    let (trace_fingerprint, config) = (*trace_fingerprint, config.clone());
-    Ok(JournalScan { trace_fingerprint, config, records, torn_tail, corrupt_records })
+    Ok((*trace_fingerprint, config))
 }
 
 /// Rebuilds a runtime from a journal plus the trace it was recorded

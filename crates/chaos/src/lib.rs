@@ -68,8 +68,8 @@ mod schedule;
 pub use crc::crc32;
 pub use error::ChaosError;
 pub use journal::{
-    journal_line_count, parse_journal_line, recover, recover_with, scan_journal, Journal,
-    JournalRecord, JournalScan, Recovery, RecoveryPolicy, JOURNAL_VERSION,
+    begin_pins, journal_line_count, parse_journal_line, recover, recover_with, scan_journal,
+    Journal, JournalRecord, JournalScan, Recovery, RecoveryPolicy, JOURNAL_VERSION,
 };
 pub use runner::{
     corrupt_and_recover_everywhere, kill_at_every_boundary, run_with_crashes, truncate_and_recover,

@@ -102,12 +102,12 @@ impl ChaosReport {
     }
 }
 
-/// First-line defense shared by every harness entry point: the trace's
-/// own structural validation, then the guard layer's quarantine pass
-/// (which catches what serde lets through — NaN drift latencies,
-/// out-of-range indices, backwards timestamps).
+/// First-line defense shared by every harness entry point: the guard
+/// layer's quarantine pass. Its hard findings cover everything
+/// `Trace::validate` rejects (format version, event times, indices and
+/// drift latencies), listed all at once, plus what serde lets through in
+/// the scenario itself (a NaN load factor, zero devices).
 fn quarantine(trace: &Trace) -> Result<(), ChaosError> {
-    trace.validate().map_err(ChaosError::Workload)?;
     tacc_guard::validate::validate_trace(trace)
         .gate(false)
         .map_err(|e| ChaosError::Quarantine { reason: e.to_string() })
@@ -495,7 +495,7 @@ pub fn truncate_and_recover(
 mod tests {
     use super::*;
     use crate::{ChaosGenerator, ChaosProfile};
-    use tacc_workload::TraceScenario;
+    use tacc_workload::{TraceEvent, TraceScenario};
 
     fn temp_path(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("tacc-runner-test-{name}-{}.jsonl", std::process::id()))
@@ -583,6 +583,23 @@ mod tests {
         let path = temp_path("quarantine");
         let err = run_with_crashes(&trace, &CrashPlan::default(), &path).unwrap_err();
         assert!(matches!(err, ChaosError::Quarantine { .. }), "got {err:?}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_trace_with_bad_events_is_quarantined_with_every_finding() {
+        let scenario = TraceScenario { num_iot: 10, num_servers: 3, ..TraceScenario::default() };
+        let mut trace =
+            ChaosGenerator::new(scenario, ChaosProfile::Mixed).num_events(8).generate(5).unwrap();
+        for index in [2, 5] {
+            trace.events[index].event = TraceEvent::DeviceJoin { device: 99 };
+        }
+        let path = temp_path("bad-events");
+        let err = run_with_crashes(&trace, &CrashPlan::default(), &path).unwrap_err();
+        let ChaosError::Quarantine { reason } = &err else { panic!("got {err:?}") };
+        for index in [2, 5] {
+            assert!(reason.contains(&format!("record {index}: device index 99")), "{reason}");
+        }
         std::fs::remove_file(&path).ok();
     }
 

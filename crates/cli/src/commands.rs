@@ -1806,6 +1806,86 @@ mod tests {
         assert!(err.contains("mutually exclusive"), "got: {err}");
     }
 
+    /// A 60 × 6 trace (`gen-trace --seed 3`), stopped after 40 events
+    /// with a snapshot, and that snapshot three times over with one of
+    /// its maintainer's arrays cut short — each paired with the finding
+    /// the quarantine must report. Unchecked, the first two panic on the
+    /// next step and the third resumes to a different report.
+    fn misshapen_maintainer_snapshots(dir: &Path) -> (Trace, Vec<(String, RuntimeSnapshot)>) {
+        use serde_json::Value;
+        std::fs::create_dir_all(dir).unwrap();
+        let (trace_path, snap_path) = (dir.join("trace.json"), dir.join("snapshot.json"));
+        let gen =
+            Args::parse(&argv(&["--devices", "60", "--servers", "6", "--seed", "3"])).unwrap();
+        std::fs::write(&trace_path, gen_trace_json(&gen).unwrap()).unwrap();
+        let stop = argv(&[
+            "--trace",
+            trace_path.to_str().unwrap(),
+            "--stop-after",
+            "40",
+            "--snapshot-out",
+            snap_path.to_str().unwrap(),
+        ]);
+        run_trace_report(&Args::parse(&stop).unwrap()).unwrap();
+        let trace = Trace::from_json(&std::fs::read_to_string(&trace_path).unwrap()).unwrap();
+        let snapshot: Value =
+            serde_json::from_str(&std::fs::read_to_string(&snap_path).unwrap()).unwrap();
+        let cases = [("failed", 3), ("costs", 10), ("trees", 2)].map(|(field, keep)| {
+            let mut value = snapshot.clone();
+            let Value::Object(fields) = &mut value else { panic!("a snapshot is an object") };
+            let Some((_, Value::Object(maintainer))) =
+                fields.iter_mut().find(|(k, _)| k == "maintainer")
+            else {
+                panic!("the maintainer is an object")
+            };
+            let Some((_, Value::Array(items))) = maintainer.iter_mut().find(|(k, _)| k == field)
+            else {
+                panic!("maintainer.{field} is an array")
+            };
+            items.truncate(keep);
+            let finding = format!("maintainer {field} has length {keep}");
+            (finding, serde_json::from_value(&value).unwrap())
+        });
+        (trace, cases.into())
+    }
+
+    #[test]
+    fn resume_quarantines_a_misshapen_maintainer() {
+        let dir = std::env::temp_dir().join(format!("tacc-cli-resume-mnt-{}", std::process::id()));
+        let (_, cases) = misshapen_maintainer_snapshots(&dir);
+        let (trace_path, snap_path) = (dir.join("trace.json"), dir.join("cut.json"));
+        for (finding, snapshot) in cases {
+            std::fs::write(&snap_path, snapshot.to_json()).unwrap();
+            let resume = argv(&[
+                "--trace",
+                trace_path.to_str().unwrap(),
+                "--resume",
+                snap_path.to_str().unwrap(),
+            ]);
+            let err = run_trace_report(&Args::parse(&resume).unwrap()).unwrap_err();
+            assert!(err.contains(&finding), "want `{finding}`, got: {err}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn journal_recovery_quarantines_a_misshapen_maintainer() {
+        let dir = std::env::temp_dir().join(format!("tacc-cli-recover-mnt-{}", std::process::id()));
+        let (trace, cases) = misshapen_maintainer_snapshots(&dir);
+        let journal_path = dir.join("journal.jsonl");
+        for (finding, snapshot) in cases {
+            let mut journal = Journal::create(&journal_path, &trace, &snapshot.config).unwrap();
+            journal.append(&JournalRecord::Snapshot { snapshot }).unwrap();
+            drop(journal);
+            let err = recover_with(&journal_path, &trace, RecoveryPolicy::Strict).unwrap_err();
+            assert!(
+                matches!(&err, tacc_chaos::ChaosError::Quarantine { reason } if reason.contains(&finding)),
+                "want `{finding}`, got: {err}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn chaos_smoke_survives_every_profile_name() {
         for profile in ChaosProfile::ALL {

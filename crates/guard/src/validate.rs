@@ -404,7 +404,9 @@ pub fn validate_trace(trace: &Trace) -> QuarantineReport {
 
 /// Validates a restored runtime snapshot: version, the carried topology
 /// (serde bypasses all builder checks), per-device vector lengths against
-/// the topology, assignment server indices, and config priorities.
+/// the topology, assignment server indices, config priorities, and the
+/// shape of the delay maintainer's own state
+/// ([`tacc_runtime::DelayMaintainer::shape_mismatches`]).
 #[must_use]
 pub fn validate_snapshot(snapshot: &RuntimeSnapshot) -> QuarantineReport {
     let mut report = QuarantineReport::new("snapshot");
@@ -471,6 +473,9 @@ pub fn validate_snapshot(snapshot: &RuntimeSnapshot) -> QuarantineReport {
         if !p.is_finite() || p <= 0.0 {
             report.issues.push(ValidationIssue::BadPriority { device, value: p });
         }
+    }
+    for (what, found, expected) in snapshot.maintainer.shape_mismatches(&snapshot.topology) {
+        report.issues.push(ValidationIssue::LengthMismatch { what, found, expected });
     }
     report
 }

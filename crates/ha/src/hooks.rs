@@ -124,9 +124,9 @@ impl Replicator {
 /// one half of a primary/standby pair.
 ///
 /// - **Standby role** ([`HaHooks::standby`]): intercepts `Replicate`
-///   (apply + ack) and `Promote` (rebuild a serving [`Session`] from
-///   the journal copy and install it — subsequent requests are served
-///   as the new primary). `Hello`, `Metrics` and `Shutdown` pass
+///   (apply + ack) and `Promote` (hand the live replica over as a
+///   serving [`Session`] and install it — subsequent requests are
+///   served as the new primary). `Hello`, `Metrics` and `Shutdown` pass
 ///   through; anything else is refused with a typed error until
 ///   promotion, so a confused client cannot split-brain the pair.
 /// - **Primary role** ([`HaHooks::primary`]): after every dispatched

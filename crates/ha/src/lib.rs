@@ -21,17 +21,18 @@
 //!   idempotently (re-ships of already-held lines are acknowledged, a
 //!   gap is a typed error), verifies each parses as a journal record,
 //!   appends them verbatim to its own journal (one fsync per batch),
-//!   and steps a live [`tacc_runtime::Runtime`] replica through every
-//!   shipped event. The replica does not make promotion cheap —
-//!   promotion is a full journal recovery — but it refuses events it
-//!   cannot step and cross-checks the recovered cursor.
+//!   and keeps a live replica — the [`tacc_serve::JournalState`] the
+//!   copy determines — by stepping every shipped event before it acks.
 //! - **[`HaHooks`]**: the [`tacc_serve::ServerHooks`] implementation
 //!   wiring both into the daemon. On the standby it intercepts
-//!   `Replicate` and `Promote`; `Promote` rebuilds a full
-//!   [`tacc_serve::Session`] through the *same* journal-recovery path
-//!   `--recover` uses — which restores the push seq-dedup record, so a
-//!   burst the dead primary acked and a failing-over client re-sends
-//!   is answered from the record instead of applied twice.
+//!   `Replicate` and `Promote`; `Promote` hands the replica over as the
+//!   serving [`tacc_serve::Session`] through the same tail
+//!   ([`tacc_serve::Session::resume`]) a `--recover` restart ends in,
+//!   without reading the journal copy back. That restores the push
+//!   seq-dedup record, so a burst the dead primary acked and a
+//!   failing-over client re-sends is answered from the record instead
+//!   of applied twice. Under `TACC_CHECK=1` promotion also rebuilds the
+//!   copy as recovery would and refuses a replica that differs.
 //!
 //! Failover is driven from the client side:
 //! [`tacc_serve::Client::connect_failover`] holds the address list,

@@ -1,85 +1,39 @@
 //! The standby's receiving end: idempotent journal apply and promotion.
 
+use std::fs::OpenOptions;
 use std::path::PathBuf;
 
-use tacc_chaos::{journal_line_count, parse_journal_line, Journal, JournalRecord};
-use tacc_runtime::{Runtime, RuntimeConfig};
-use tacc_serve::{ServeConfig, ServeError, Session};
-use tacc_workload::Trace;
+use tacc_chaos::{journal_line_count, parse_journal_line, Journal};
+use tacc_runtime::Runtime;
+use tacc_serve::{JournalState, ServeConfig, ServeError, Session};
 
 use crate::failpoint;
 
 /// The standby's replication state: a verbatim copy of the primary's
-/// journal (fsync'd batch by batch) plus an eagerly-maintained live
-/// [`Runtime`] replica.
+/// journal (fsync'd batch by batch) plus a live replica — the
+/// [`JournalState`] that copy determines, kept current by stepping every
+/// shipped event before the batch is acknowledged.
 ///
-/// The journal copy is the source of truth — [`StandbyCore::promote`]
-/// rebuilds the serving [`Session`] from it through the same
-/// [`Session::recover`] path a `--recover` restart uses, so a promoted
-/// standby is byte-identical to a recovered primary, and promotion costs
-/// a full recovery (snapshot restore plus journal-tail replay). The live
-/// replica does not shorten that: it refuses shipped events it cannot
-/// step, and cross-checks the recovered cursor.
+/// [`StandbyCore::promote`] hands the replica over as the serving
+/// [`Session`] through [`Session::resume`], the same tail a `--recover`
+/// restart ends in, so the promoted state (and the push seq-dedup
+/// record) is byte-identical to a recovered primary without reading the
+/// journal copy back. Under `TACC_CHECK=1` promotion also rebuilds the
+/// copy the way recovery does and refuses to promote a replica that
+/// differs from it.
 #[derive(Debug)]
 pub struct StandbyCore {
     cfg: ServeConfig,
     path: PathBuf,
-    /// `None` after an apply error — the next apply re-opens (healing
-    /// any torn tail) and resynchronizes from the durable file.
+    /// `None` after an apply or promotion error — the next apply or
+    /// promotion re-opens the copy (healing any torn tail) and rebuilds
+    /// the replica from the durable file.
     journal: Option<Journal>,
     /// Durable journal lines held (the replication cursor).
     lines: u64,
-    replica: Replica,
-}
-
-/// The live runtime replica, built incrementally from shipped records.
-#[derive(Debug, Default)]
-struct Replica {
-    config: Option<RuntimeConfig>,
-    trace: Option<Trace>,
-    runtime: Option<Runtime>,
-}
-
-impl Replica {
-    /// Applies one shipped record. `Begin` carries the runtime config,
-    /// `SessionScenario` materializes the runtime, each `Event` steps it
-    /// eagerly; `Step`/`Snapshot`/`Recovered`/`SeqAck` are bookkeeping
-    /// the recovery path consumes — the live replica ignores them.
-    fn apply(&mut self, record: JournalRecord) -> Result<(), ServeError> {
-        match record {
-            JournalRecord::Begin { config, .. } => self.config = Some(config),
-            JournalRecord::SessionScenario { scenario } => {
-                let Some(config) = self.config.clone() else {
-                    return Err(ServeError::state("SessionScenario shipped before Begin"));
-                };
-                let trace = Trace { version: Trace::FORMAT_VERSION, scenario, events: Vec::new() };
-                let runtime = Runtime::from_trace(&trace, config)
-                    .map_err(|e| ServeError::state(e.to_string()))?;
-                self.trace = Some(trace);
-                self.runtime = Some(runtime);
-            }
-            JournalRecord::Event { index, timed } => {
-                let (Some(trace), Some(runtime)) = (self.trace.as_mut(), self.runtime.as_mut())
-                else {
-                    return Err(ServeError::state("Event shipped before SessionScenario"));
-                };
-                if index as usize != trace.events.len() {
-                    return Err(ServeError::state(format!(
-                        "replicated event {index} arrived at position {}",
-                        trace.events.len()
-                    )));
-                }
-                trace.events.push(timed);
-                let i = trace.events.len() - 1;
-                runtime.step(i, &trace.events[i]).map_err(|e| ServeError::state(e.to_string()))?;
-            }
-            JournalRecord::Step { .. }
-            | JournalRecord::Snapshot { .. }
-            | JournalRecord::Recovered { .. }
-            | JournalRecord::SeqAck { .. } => {}
-        }
-        Ok(())
-    }
+    /// What the journal copy determines; `None` until its `Begin`
+    /// record arrives.
+    replica: Option<JournalState>,
 }
 
 impl StandbyCore {
@@ -96,13 +50,7 @@ impl StandbyCore {
             return Err(ServeError::state("a standby needs --journal for its replica copy"));
         };
         let journal = Journal::create_raw(&path).map_err(|e| ServeError::state(e.to_string()))?;
-        Ok(StandbyCore {
-            cfg: cfg.clone(),
-            path,
-            journal: Some(journal),
-            lines: 0,
-            replica: Replica::default(),
-        })
+        Ok(StandbyCore { cfg: cfg.clone(), path, journal: Some(journal), lines: 0, replica: None })
     }
 
     /// Durable journal lines held — the cursor acknowledged back to the
@@ -114,25 +62,20 @@ impl StandbyCore {
     /// The live replica's applied-event cursor (`None` until the
     /// scenario has been shipped).
     pub fn replica_cursor(&self) -> Option<u64> {
-        self.replica.runtime.as_ref().map(Runtime::cursor)
+        self.replica.as_ref()?.runtime().map(Runtime::cursor)
     }
 
-    /// Re-opens the journal copy after an apply error: heals any torn
-    /// tail the failure left, recounts the durable lines, and rebuilds
-    /// the live replica from the file so memory and disk agree again.
+    /// Re-opens the journal copy after an apply or promotion error:
+    /// heals any torn tail the failure left, recounts the durable lines,
+    /// and rebuilds the replica from the file the way recovery does, so
+    /// memory and disk agree again. An empty copy leaves no replica.
     fn resync(&mut self) -> Result<(), ServeError> {
         let journal =
             Journal::open_append(&self.path).map_err(|e| ServeError::state(e.to_string()))?;
         self.lines =
             journal_line_count(&self.path).map_err(|e| ServeError::state(e.to_string()))?;
-        let mut replica = Replica::default();
-        let text = std::fs::read_to_string(&self.path)
-            .map_err(|e| ServeError::io("re-reading the standby journal", &e))?;
-        for line in text.lines().filter(|l| !l.is_empty()) {
-            let record = parse_journal_line(line).map_err(ServeError::state)?;
-            replica.apply(record)?;
-        }
-        self.replica = replica;
+        self.replica =
+            if self.lines == 0 { None } else { Some(JournalState::rebuild(&self.path)?) };
         self.journal = Some(journal);
         Ok(())
     }
@@ -143,17 +86,19 @@ impl StandbyCore {
     /// held are skipped and the current cursor acknowledged — while a
     /// gap (`base` beyond the held count) is a typed error, never a
     /// silent hole. Every fresh line must parse as a journal record
-    /// before anything is written; the batch is fsync'd once.
+    /// before anything is written; the batch is fsync'd once, then the
+    /// replica applies it (the first record must be a `Begin` of the
+    /// current journal version, as recovery requires).
     ///
     /// Returns the new durable line count (the `ReplicaAck` cursor).
     ///
     /// # Errors
     ///
-    /// [`ServeError::State`] on gaps, unparseable lines, events the
-    /// replica cannot step, or filesystem failures; [`ServeError::Io`]
-    /// when the `repl.apply` failpoint fires. After an error past the
-    /// parse check the journal handle is dropped and the next apply
-    /// resynchronizes from the durable file.
+    /// [`ServeError::State`] on gaps, unparseable lines, records the
+    /// replica refuses or cannot step, or filesystem failures;
+    /// [`ServeError::Io`] when the `repl.apply` failpoint fires. After
+    /// an error past the parse check the journal handle is dropped and
+    /// the next apply resynchronizes from the durable file.
     pub fn apply(&mut self, base: u64, lines: &[String]) -> Result<u64, ServeError> {
         failpoint("repl.apply")?;
         if self.journal.is_none() {
@@ -188,7 +133,11 @@ impl StandbyCore {
             return Err(ServeError::state(e.to_string()));
         }
         for record in records {
-            if let Err(e) = self.replica.apply(record) {
+            let applied = match self.replica.as_mut() {
+                Some(replica) => replica.apply(record),
+                None => JournalState::begin(&record).map(|replica| self.replica = Some(replica)),
+            };
+            if let Err(e) = applied {
                 // The lines are durable but the replica stopped partway
                 // through them: resync from the file on the next apply
                 // rather than append the same lines again.
@@ -201,31 +150,79 @@ impl StandbyCore {
         Ok(self.lines)
     }
 
-    /// Promotes this standby: rebuilds a serving [`Session`] from the
-    /// journal copy through [`Session::recover`] — the same path a
-    /// `--recover` restart takes, so the promoted state (and the push
-    /// seq-dedup record) is byte-identical to a recovered primary — and
-    /// cross-checks it against the live replica's cursor.
+    /// Promotes this standby: appends a `Recovered` record to the open
+    /// journal copy and hands the live replica over as the serving
+    /// [`Session`] through [`Session::resume`] — no journal is read. The
+    /// result equals a `--recover` restart from the copy byte for byte,
+    /// push seq-dedup record included. Under `TACC_CHECK=1` that
+    /// recovery is also rebuilt from the file and compared first: the
+    /// runtime snapshot JSON, the events and the seq-ack must match.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Io`] when the `repl.promote` failpoint fires; plus
-    /// everything [`Session::recover`] can return. The core stays a
-    /// standby on error and keeps accepting replication.
+    /// [`ServeError::Io`] when the `repl.promote` failpoint fires;
+    /// [`ServeError::State`] when no record was shipped yet or the
+    /// checked rebuild differs; plus everything [`JournalState::rebuild`]
+    /// (on the resync after an earlier error, or under the check) and
+    /// [`Session::resume`] can return. The core stays a standby on
+    /// error and keeps accepting replication. A failure in the handover
+    /// cuts the copy back to the lines shipped and drops the journal
+    /// handle, so the next apply or promotion resynchronizes from the
+    /// file.
     pub fn promote(&mut self) -> Result<Session, ServeError> {
         failpoint("repl.promote")?;
-        // Recovery re-opens the file itself; drop our append handle.
-        self.journal = None;
-        let session = Session::recover(&self.cfg)?;
-        if let Some(cursor) = self.replica_cursor() {
-            if session.cursor() != cursor {
-                return Err(ServeError::state(format!(
-                    "promotion recovered cursor {} but the live replica sits at {cursor}",
-                    session.cursor()
-                )));
-            }
+        if self.journal.is_none() {
+            self.resync()?;
         }
+        let Some(replica) = &self.replica else {
+            return Err(ServeError::state("nothing to promote: no journal line was replicated"));
+        };
+        if tacc_runtime::check::enabled() {
+            same_handover(replica, &JournalState::rebuild(&self.path)?)?;
+        }
+        // The copy must keep holding the primary's lines only, so a
+        // failed handover cuts back whatever it appended: its `Recovered`
+        // record may be written, torn or whole, before the error.
+        let shipped_len = std::fs::metadata(&self.path)
+            .map_err(|e| ServeError::io("sizing the journal copy", &e))?
+            .len();
+        let (Some(replica), Some(journal)) = (self.replica.take(), self.journal.take()) else {
+            unreachable!("replica checked and journal resynced above");
+        };
+        let session = Session::resume(replica, journal, &self.cfg).map_err(|e| {
+            let cut = OpenOptions::new().write(true).open(&self.path);
+            match cut.and_then(|file| file.set_len(shipped_len)) {
+                Ok(()) => e,
+                Err(cut) => ServeError::state(format!(
+                    "{e}; cutting the failed promotion's record from the copy also failed: {cut}"
+                )),
+            }
+        })?;
         tacc_obs::counter_add("ha.failovers", 1);
         Ok(session)
     }
+}
+
+/// The recovery oracle of a checked promotion: the live replica must
+/// hand over, byte for byte, what a rebuild of the journal copy derives
+/// — the runtime snapshot JSON, the events and the seq-ack.
+fn same_handover(replica: &JournalState, rebuilt: &JournalState) -> Result<(), ServeError> {
+    let bytes = |state: &JournalState| {
+        [
+            state.runtime().map(|runtime| runtime.snapshot().to_json()).unwrap_or_default(),
+            serde_json::to_string(state.events()).expect("events serialize"),
+            format!("{:?}", state.seq_ack()),
+        ]
+    };
+    let (held, derived) = (bytes(replica), bytes(rebuilt));
+    for (what, (held, derived)) in
+        ["snapshot", "events", "seq-ack"].iter().zip(held.iter().zip(&derived))
+    {
+        if held != derived {
+            return Err(ServeError::state(format!(
+                "promotion check: the live replica's {what} differs from the journal copy's rebuild"
+            )));
+        }
+    }
+    Ok(())
 }

@@ -1,8 +1,8 @@
 //! The failpoint soak gate: sweep EVERY registered failpoint at EVERY
 //! occurrence index (and every applicable failure kind) through the full
-//! primary → ship → standby → promote pipeline, plus the socket probes
-//! through a live in-thread daemon, and prove the invariants the HA
-//! design stands on:
+//! primary → ship → standby → promote → restart pipeline, plus the
+//! socket probes through a live in-thread daemon, and prove the
+//! invariants the HA design stands on:
 //!
 //! - **zero escaped panics** — every fault surfaces as a typed error;
 //! - **zero corrupted journals** — after any fault, a reopen heals the
@@ -52,10 +52,14 @@ fn serve_cfg(journal: &Path) -> ServeConfig {
 }
 
 /// The full HA pipeline, in-process: primary session journals sequenced
-/// bursts, every newly durable line ships to the standby, and at the end
-/// the standby promotes. Returns the promoted snapshot. Any fault
-/// propagates as a typed error — exactly what the sweep wants to see.
-fn pipeline_run(dir: &Path, tag: &str) -> Result<String, ServeError> {
+/// bursts, every newly durable line ships to the standby, at the end the
+/// standby promotes, and then a `serve --recover` restart reads the
+/// promoted standby's journal back (promotion hands its replica over
+/// without reading a journal, so the restart is what keeps the
+/// `journal.open` and `snapshot.load` probes on the swept path). Returns
+/// the promoted and the restarted snapshot. Any fault propagates as a
+/// typed error — exactly what the sweep wants to see.
+fn pipeline_run(dir: &Path, tag: &str) -> Result<(String, String), ServeError> {
     let trace = scripted_trace();
     let primary_journal = dir.join(format!("p-{tag}.jsonl"));
     let standby_journal = dir.join(format!("s-{tag}.jsonl"));
@@ -83,7 +87,10 @@ fn pipeline_run(dir: &Path, tag: &str) -> Result<String, ServeError> {
     }
     let _ = shipped;
     let mut promoted = standby.promote()?;
-    promoted.snapshot_json()
+    let promoted_snapshot = promoted.snapshot_json()?;
+    drop(promoted);
+    let mut restarted = Session::recover(&serve_cfg(&standby_journal))?;
+    Ok((promoted_snapshot, restarted.snapshot_json()?))
 }
 
 /// After a faulted run: both surviving journals must heal on reopen,
@@ -205,7 +212,9 @@ fn every_failpoint_at_every_occurrence_degrades_typed_or_fails_over_identically(
     tacc_failpoints::disarm();
 
     // The uninterrupted reference all survivors are measured against.
-    let reference = pipeline_run(&dir, "reference").expect("reference run must succeed");
+    let (reference, restarted) =
+        pipeline_run(&dir, "reference").expect("reference run must succeed");
+    assert_eq!(restarted, reference, "a restart from the promoted journal diverged");
 
     // Census: run both harnesses in counting-only mode to learn how
     // often each failpoint is probed.
@@ -255,10 +264,16 @@ fn every_failpoint_at_every_occurrence_degrades_typed_or_fails_over_identically(
                 match result {
                     // The fault was absorbed (e.g. a re-ship covered
                     // it): the outcome must be byte-identical anyway.
-                    Ok(snapshot) => assert_eq!(
-                        snapshot, reference,
-                        "failpoint {spec}: an absorbed fault changed the outcome"
-                    ),
+                    Ok((promoted, restarted)) => {
+                        assert_eq!(
+                            promoted, reference,
+                            "failpoint {spec}: an absorbed fault changed the promoted outcome"
+                        );
+                        assert_eq!(
+                            restarted, reference,
+                            "failpoint {spec}: an absorbed fault changed the restarted outcome"
+                        );
+                    }
                     // The fault surfaced: it must be typed (it is, by
                     // construction of `Result`) and every survivor must
                     // recover byte-identically.

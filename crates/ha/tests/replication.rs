@@ -6,11 +6,13 @@
 use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
-use tacc_chaos::{journal_line_count, Journal, JournalRecord};
+use tacc_chaos::{
+    journal_line_count, scan_journal, Journal, JournalRecord, RecoveryPolicy, JOURNAL_VERSION,
+};
 use tacc_ha::{JournalTail, StandbyCore};
 use tacc_proto::Response;
 use tacc_runtime::RuntimeConfig;
-use tacc_serve::{ServeConfig, Session};
+use tacc_serve::{JournalState, ServeConfig, ServeError, Session};
 use tacc_workload::{TimedEvent, TopologyFamily, Trace, TraceEvent, TraceGenerator, TraceScenario};
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -164,6 +166,210 @@ fn a_line_the_replica_cannot_step_is_journaled_once() {
         assert!(err.to_string().contains("link 1000000"), "attempt {attempt}: {err}");
     }
     assert_eq!(journal_line_count(&standby_journal).unwrap(), held + 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One handover case: a primary pushes the trace in sequenced bursts of
+/// 7 (a coalesced flush every 16 pending events, a snapshot every
+/// `snapshot_every` applied ones), optionally crashes with events still
+/// pending and is recovered from its own journal after two bursts, and
+/// ships every durable line. The standby promotes with the last burst
+/// still unflushed on the primary, and the promoted session must equal
+/// the rebuild of the standby's journal copy: snapshot JSON, events and
+/// seq-dedup record.
+fn assert_handover_equals_rebuild(
+    family: TopologyFamily,
+    seed: u64,
+    snapshot_every: u64,
+    recover_primary: bool,
+    dir: &Path,
+) {
+    let case = format!("{family:?} snapshot_every={snapshot_every} recover={recover_primary}");
+    let primary_journal = dir.join("primary.jsonl");
+    let standby_journal = dir.join("standby.jsonl");
+    let cfg = |journal: &Path| ServeConfig {
+        journal: Some(journal.to_path_buf()),
+        batch_size: 16,
+        snapshot_every,
+        ..ServeConfig::default()
+    };
+    let trace = scripted_trace(family, seed);
+    let mut primary =
+        Session::start(shell(&trace), RuntimeConfig::default(), &cfg(&primary_journal)).unwrap();
+    let mut tail = JournalTail::new(&primary_journal);
+    let mut standby = StandbyCore::new(&cfg(&standby_journal)).unwrap();
+
+    let mut shipped = 0u64;
+    let mut last = None;
+    for (i, burst) in trace.events.chunks(7).enumerate() {
+        if recover_primary && i == 2 {
+            assert!(primary.pending() > 0, "{case}: the primary must crash with events pending");
+            drop(primary);
+            primary = Session::recover(&cfg(&primary_journal)).unwrap();
+        }
+        let seq = i as u64 + 1;
+        let ack = primary.push(burst.to_vec(), seq).unwrap();
+        last = Some((seq, burst.to_vec(), ack));
+        shipped = standby.apply(shipped, &tail.poll().unwrap()).unwrap();
+    }
+    assert!(primary.pending() > 0, "{case}: the last burst must still be unflushed");
+    let records = scan_journal(&standby_journal, RecoveryPolicy::Strict).unwrap().records;
+    let holds = |kind: fn(&JournalRecord) -> bool| records.iter().any(kind);
+    assert_eq!(
+        holds(|r| matches!(r, JournalRecord::Snapshot { .. })),
+        snapshot_every > 0,
+        "{case}: Snapshot records in the copy"
+    );
+    assert_eq!(
+        holds(|r| matches!(r, JournalRecord::Recovered { .. })),
+        recover_primary,
+        "{case}: Recovered records in the copy"
+    );
+
+    let rebuilt = JournalState::rebuild(&standby_journal).unwrap();
+    let mut promoted = standby.promote().unwrap();
+    assert_eq!(
+        serde_json::to_string(promoted.events()).unwrap(),
+        serde_json::to_string(rebuilt.events()).unwrap(),
+        "{case}: promoted events differ from the rebuild"
+    );
+    let promoted_snapshot = promoted.snapshot_json().unwrap();
+    assert_eq!(
+        promoted_snapshot,
+        rebuilt.runtime().unwrap().snapshot().to_json(),
+        "{case}: promoted snapshot differs from the rebuild"
+    );
+    assert_eq!(promoted_snapshot, primary.snapshot_json().unwrap(), "{case}: primary differs");
+
+    // The dedup record: re-sending the last acknowledged burst under its
+    // seq is answered from the record and journals nothing.
+    let (seq, burst, ack) = last.unwrap();
+    let Response::Accepted { queued, pending } = ack else { panic!("{case}: acked {ack:?}") };
+    assert_eq!(rebuilt.seq_ack(), Some((seq, queued as u64, pending as u64)), "{case}: seq-ack");
+    let lines = journal_line_count(&standby_journal).unwrap();
+    let events = promoted.events().len();
+    assert_eq!(promoted.push(burst, seq).unwrap(), ack, "{case}: re-sent seq not deduplicated");
+    assert_eq!(journal_line_count(&standby_journal).unwrap(), lines, "{case}: re-send journaled");
+    assert_eq!(promoted.events().len(), events, "{case}: re-send queued events");
+}
+
+#[test]
+fn promotion_hands_over_what_recovery_rebuilds_from_the_copy() {
+    for (i, family) in TopologyFamily::ALL.into_iter().enumerate() {
+        for snapshot_every in [4, 0] {
+            for recover_primary in [false, true] {
+                let dir = temp_dir(&format!("handover-{i}-{snapshot_every}-{recover_primary}"));
+                assert_handover_equals_rebuild(
+                    family,
+                    61 + i as u64,
+                    snapshot_every,
+                    recover_primary,
+                    &dir,
+                );
+                std::fs::remove_dir_all(&dir).ok();
+            }
+        }
+    }
+}
+
+#[test]
+fn promoting_before_the_session_scenario_is_a_typed_error() {
+    let dir = temp_dir("early-promote");
+    let trace = scripted_trace(TopologyFamily::BarabasiAlbert, 5);
+    let journal = dir.join("primary.jsonl");
+    let cfg = ServeConfig { journal: Some(journal.clone()), ..ServeConfig::default() };
+    let standby_cfg =
+        ServeConfig { journal: Some(dir.join("standby.jsonl")), ..ServeConfig::default() };
+    let mut primary = Session::start(shell(&trace), RuntimeConfig::default(), &cfg).unwrap();
+    primary.push(trace.events.clone(), 1).unwrap();
+    let lines = JournalTail::new(&journal).poll().unwrap();
+
+    let mut standby = StandbyCore::new(&standby_cfg).unwrap();
+    let err = standby.promote().unwrap_err();
+    assert!(matches!(err, ServeError::State { .. }), "nothing shipped: {err}");
+    assert_eq!(standby.apply(0, &lines[..1]).unwrap(), 1);
+    let err = standby.promote().unwrap_err();
+    assert!(matches!(err, ServeError::State { .. }), "Begin only: {err}");
+    assert!(err.to_string().contains("SessionScenario"), "Begin only: {err}");
+
+    // Still a standby: the rest of the journal ships and promotes.
+    assert_eq!(standby.apply(1, &lines[1..]).unwrap(), lines.len() as u64);
+    let promoted = standby.promote().unwrap().snapshot_json().unwrap();
+    assert_eq!(promoted, primary.snapshot_json().unwrap());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_copy_that_does_not_open_with_a_current_begin_is_refused_as_recovery_refuses_it() {
+    let dir = temp_dir("bad-begin");
+    let trace = scripted_trace(TopologyFamily::Grid, 12);
+    let journal = dir.join("primary.jsonl");
+    let cfg = ServeConfig { journal: Some(journal.clone()), ..ServeConfig::default() };
+    let standby_cfg =
+        ServeConfig { journal: Some(dir.join("standby.jsonl")), ..ServeConfig::default() };
+    let mut primary = Session::start(shell(&trace), RuntimeConfig::default(), &cfg).unwrap();
+    primary.push(trace.events[..4].to_vec(), 1).unwrap();
+    let lines = JournalTail::new(&journal).poll().unwrap();
+
+    // A Begin that pins the previous journal version.
+    let old_path = dir.join("old.jsonl");
+    Journal::create_raw(&old_path)
+        .unwrap()
+        .append(&JournalRecord::Begin {
+            journal_version: JOURNAL_VERSION - 1,
+            trace_fingerprint: shell(&trace).fingerprint(),
+            config: RuntimeConfig::default(),
+        })
+        .unwrap();
+    let old_begin = std::fs::read_to_string(&old_path).unwrap().trim_end().to_owned();
+
+    // A stream that starts past its Begin, and one opening with the old
+    // version: the replica refuses each with recovery's own error.
+    for (first, want) in [(&lines[1], "Begin record"), (&old_begin, "journal version")] {
+        let mut standby = StandbyCore::new(&standby_cfg).unwrap();
+        let err = standby.apply(0, std::slice::from_ref(first)).unwrap_err();
+        assert!(matches!(err, ServeError::State { .. }), "got {err}");
+        assert!(err.to_string().contains(want), "got {err}");
+        let recovered = Session::recover(&standby_cfg).unwrap_err();
+        assert_eq!(err.to_string(), recovered.to_string(), "replica and recovery disagree");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn promoting_past_an_unsteppable_line_reports_the_recovery_error() {
+    let dir = temp_dir("unsteppable-promote");
+    let trace = scripted_trace(TopologyFamily::RandomGeometric, 78);
+    let journal = dir.join("primary.jsonl");
+    let cfg = ServeConfig { journal: Some(journal.clone()), ..ServeConfig::default() };
+    let standby_cfg =
+        ServeConfig { journal: Some(dir.join("standby.jsonl")), ..ServeConfig::default() };
+    let mut primary = Session::start(shell(&trace), RuntimeConfig::default(), &cfg).unwrap();
+    primary.push(trace.events[..8].to_vec(), 1).unwrap();
+    let lines = JournalTail::new(&journal).poll().unwrap();
+    let mut standby = StandbyCore::new(&standby_cfg).unwrap();
+    let held = standby.apply(0, &lines).unwrap();
+
+    // A well-formed record of event 8 on a link past the topology.
+    let bad_path = dir.join("bad.jsonl");
+    Journal::create_raw(&bad_path)
+        .unwrap()
+        .append(&JournalRecord::Event {
+            index: 8,
+            timed: TimedEvent {
+                time_ms: trace.events[7].time_ms + 1.0,
+                event: TraceEvent::LinkLatencyDrift { link: 1_000_000, latency_ms: 1.0 },
+            },
+        })
+        .unwrap();
+    let bad = vec![std::fs::read_to_string(&bad_path).unwrap().trim_end().to_owned()];
+    assert!(standby.apply(held, &bad).is_err());
+
+    let err = standby.promote().unwrap_err();
+    assert!(matches!(err, ServeError::State { .. }), "got {err}");
+    assert!(err.to_string().contains("link 1000000"), "got {err}");
+    let recovered = Session::recover(&standby_cfg).unwrap_err();
+    assert_eq!(err.to_string(), recovered.to_string(), "promotion and recovery disagree");
     std::fs::remove_dir_all(&dir).ok();
 }
 

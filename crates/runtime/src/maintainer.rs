@@ -146,6 +146,41 @@ impl DelayMaintainer {
         &self.costs
     }
 
+    /// Where this maintainer's shape disagrees with `topology`, as
+    /// `(what, found, expected)` lengths: the per-link `base_costs`,
+    /// `costs` and `disabled` against the link count, `failed` and
+    /// `trees` against the server count, the matrix against the IoT and
+    /// server counts (and its stored data and node lists against its own
+    /// dimensions), and every tree against the node count. Empty for any
+    /// maintainer [`DelayMaintainer::new`] built over `topology`; a
+    /// deserialized one that disagrees would index out of bounds on the
+    /// next step, so snapshot quarantine reports these before a restore.
+    pub fn shape_mismatches(&self, topology: &Topology) -> Vec<(&'static str, usize, usize)> {
+        let graph = topology.graph();
+        let (links, nodes) = (graph.link_count(), graph.node_count());
+        let (rows, columns) = (self.matrix.num_iot(), self.matrix.num_servers());
+        let (data, iot_nodes, server_nodes) = self.matrix.stored_lengths();
+        let mut lengths = vec![
+            ("maintainer base_costs", self.base_costs.len(), links),
+            ("maintainer costs", self.costs.len(), links),
+            ("maintainer disabled", self.disabled.len(), links),
+            ("maintainer failed", self.failed.len(), topology.num_servers()),
+            ("maintainer trees", self.trees.len(), topology.num_servers()),
+            ("maintainer matrix rows", rows, topology.num_iot()),
+            ("maintainer matrix columns", columns, topology.num_servers()),
+            ("maintainer matrix data", data, rows.saturating_mul(columns)),
+            ("maintainer matrix IoT nodes", iot_nodes, rows),
+            ("maintainer matrix server nodes", server_nodes, columns),
+        ];
+        for tree in &self.trees {
+            let (distances, parents) = tree.node_lengths();
+            lengths.push(("maintainer tree distances", distances, nodes));
+            lengths.push(("maintainer tree parent links", parents, nodes));
+        }
+        lengths.retain(|&(_, found, expected)| found != expected);
+        lengths
+    }
+
     /// Applies a latency drift that the caller has already written into
     /// `topology` (via [`Topology::set_link_latency`]). Returns the repair
     /// work performed and appends to `changed` the `(row, column)`

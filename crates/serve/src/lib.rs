@@ -60,6 +60,6 @@ pub use client::{Client, ClientConfig, RetryPolicy};
 pub use config::ServeConfig;
 pub use error::ServeError;
 pub use server::{dispatch_request, Listener, NoHooks, Server, ServerHooks};
-pub use session::{Session, SessionStats};
+pub use session::{JournalState, Session, SessionStats};
 pub use signal::{install_termination_handler, termination_requested};
 pub use surge::{SurgeConfig, SurgeController};

@@ -1,7 +1,7 @@
 //! The daemon's resident state: one scenario, one runtime, one journal.
 
 use serde_json::Value;
-use tacc_chaos::{scan_journal, Journal, JournalRecord, RecoveryPolicy};
+use tacc_chaos::{begin_pins, scan_journal, Journal, JournalRecord, RecoveryPolicy};
 use tacc_core::Algorithm;
 use tacc_gap::GapInstance;
 use tacc_guard::validate::validate_snapshot;
@@ -10,8 +10,9 @@ use tacc_obs::StreamWriter;
 use tacc_proto::{ErrorCode, QueryState, Response};
 use tacc_runtime::{DeviceState, Runtime, RuntimeConfig};
 use tacc_topology::{AltOracle, DelayOracle};
-use tacc_workload::{event_faults, TimedEvent, Trace, TraceEvent};
+use tacc_workload::{event_faults, TimedEvent, Trace, TraceEvent, TraceScenario};
 
+use std::path::Path;
 use std::sync::Mutex;
 
 use tacc_zone::{RouterConfig, ZoneLayout};
@@ -109,6 +110,204 @@ pub struct SessionStats {
     pub feasible: bool,
 }
 
+/// What a session journal determines: the `Begin` record's pins, the
+/// scenario with every journaled event, a runtime that has applied all
+/// of them, and the last push acknowledgement.
+///
+/// [`JournalState::rebuild`] derives it from a journal file, restoring
+/// the last snapshot and replaying the events past it; a replication
+/// standby keeps one current record by record through
+/// [`JournalState::begin`] and [`JournalState::apply`], stepping every
+/// event. Both land on the same bytes — the determinism contract of
+/// snapshot restore — and [`Session::resume`] serves either.
+#[derive(Debug)]
+pub struct JournalState {
+    /// The `Begin` record's fingerprint of the scenario-only trace.
+    fingerprint: u64,
+    /// The `Begin` record's runtime configuration.
+    config: RuntimeConfig,
+    /// The scenario and every journaled event in index order, with the
+    /// runtime stepped through all of them; `None` until the journal
+    /// holds a `SessionScenario` record.
+    live: Option<(Trace, Runtime)>,
+    /// The last `SeqAck` record, as `(seq, queued, pending)`.
+    seq_ack: Option<(u64, u64, u64)>,
+}
+
+impl JournalState {
+    /// Derives the state from the journal at `path` without changing
+    /// the file: a strict scan, the scenario's fingerprint check against
+    /// `Begin`, the input quarantine of the last snapshot, its restore,
+    /// and the replay of every journaled event past it. A journal with
+    /// no `SessionScenario` record (a standby's copy that holds only the
+    /// `Begin`) rebuilds to a state without a runtime.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::State`] when the journal is unreadable, damaged
+    /// beyond its torn tail, out of event order or recorded against
+    /// another scenario, or when its restore-point snapshot fails the
+    /// quarantine, restore or replay; [`ServeError::Io`] when the
+    /// `snapshot.load` failpoint fires.
+    pub fn rebuild(path: &Path) -> Result<JournalState, ServeError> {
+        let scan = scan_journal(path, RecoveryPolicy::Strict)
+            .map_err(|e| ServeError::state(e.to_string()))?;
+        let mut state = JournalState {
+            fingerprint: scan.trace_fingerprint,
+            config: scan.config,
+            live: None,
+            seq_ack: None,
+        };
+        let mut scenario = None;
+        let mut events: Vec<TimedEvent> = Vec::new();
+        let mut last_snapshot = None;
+        for record in scan.records {
+            match record {
+                JournalRecord::SessionScenario { scenario: s } => scenario = Some(s),
+                JournalRecord::Event { index, timed } => push_event(&mut events, index, timed)?,
+                JournalRecord::Snapshot { snapshot } => last_snapshot = Some(snapshot),
+                JournalRecord::SeqAck { seq, queued, pending } => {
+                    state.seq_ack = Some((seq, queued, pending));
+                }
+                JournalRecord::Begin { .. }
+                | JournalRecord::Step { .. }
+                | JournalRecord::Recovered { .. } => {}
+            }
+        }
+        let Some(scenario) = scenario else {
+            return Ok(state);
+        };
+        let trace = Trace { events, ..state.shell(scenario)? };
+
+        failpoint("snapshot.load")?;
+        let mut runtime = match last_snapshot {
+            Some(snapshot) => {
+                // Serde bypasses every builder check: gate the restore
+                // point through the same quarantine `--resume` uses.
+                validate_snapshot(&snapshot)
+                    .gate(false)
+                    .map_err(|e| ServeError::state(e.to_string()))?;
+                Runtime::restore(snapshot, &trace).map_err(|e| ServeError::state(e.to_string()))?
+            }
+            None => Runtime::from_trace(&trace, state.config.clone())
+                .map_err(|e| ServeError::state(e.to_string()))?,
+        };
+        // Replay every journaled event past the restore point; the state
+        // after this is byte-identical to an uninterrupted session that
+        // flushed the same events.
+        while (runtime.cursor() as usize) < trace.events.len() {
+            let index = runtime.cursor() as usize;
+            runtime
+                .step(index, &trace.events[index])
+                .map_err(|e| ServeError::state(e.to_string()))?;
+        }
+        state.live = Some((trace, runtime));
+        Ok(state)
+    }
+
+    /// The state a journal's first record opens, refused exactly as
+    /// [`scan_journal`] refuses a journal that does not start with a
+    /// `Begin` record of the current journal version.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::State`] carrying the scan's refusal.
+    pub fn begin(first: &JournalRecord) -> Result<JournalState, ServeError> {
+        let (fingerprint, config) =
+            begin_pins(Some(first)).map_err(|e| ServeError::state(e.to_string()))?;
+        Ok(JournalState { fingerprint, config: config.clone(), live: None, seq_ack: None })
+    }
+
+    /// Applies the journal's next record: `SessionScenario` (checked
+    /// against the `Begin` fingerprint) builds the runtime, each `Event`
+    /// is appended in index order and stepped at once, and `SeqAck`
+    /// becomes the recorded acknowledgement. `Begin`, `Step`,
+    /// `Snapshot` and `Recovered` change nothing
+    /// [`JournalState::rebuild`] derives.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::State`] for a scenario of another fingerprint, an
+    /// event before the scenario or out of index order, or an event the
+    /// runtime cannot step — after which the state is unusable.
+    pub fn apply(&mut self, record: JournalRecord) -> Result<(), ServeError> {
+        match record {
+            JournalRecord::SessionScenario { scenario } => {
+                let shell = self.shell(scenario)?;
+                if self.live.is_none() {
+                    let runtime = Runtime::from_trace(&shell, self.config.clone())
+                        .map_err(|e| ServeError::state(e.to_string()))?;
+                    self.live = Some((shell, runtime));
+                }
+            }
+            JournalRecord::Event { index, timed } => {
+                let Some((trace, runtime)) = self.live.as_mut() else {
+                    return Err(ServeError::state("journal event before its SessionScenario"));
+                };
+                push_event(&mut trace.events, index, timed)?;
+                let i = trace.events.len() - 1;
+                runtime.step(i, &trace.events[i]).map_err(|e| ServeError::state(e.to_string()))?;
+            }
+            JournalRecord::SeqAck { seq, queued, pending } => {
+                self.seq_ack = Some((seq, queued, pending));
+            }
+            JournalRecord::Begin { .. }
+            | JournalRecord::Step { .. }
+            | JournalRecord::Snapshot { .. }
+            | JournalRecord::Recovered { .. } => {}
+        }
+        Ok(())
+    }
+
+    /// Every journaled event, in index order (none before the
+    /// `SessionScenario` record).
+    pub fn events(&self) -> &[TimedEvent] {
+        self.live.as_ref().map_or(&[], |(trace, _)| &trace.events)
+    }
+
+    /// The runtime stepped through every journaled event (`None` before
+    /// the `SessionScenario` record).
+    pub fn runtime(&self) -> Option<&Runtime> {
+        self.live.as_ref().map(|(_, runtime)| runtime)
+    }
+
+    /// The last journaled push acknowledgement, as `(seq, queued,
+    /// pending)`.
+    pub fn seq_ack(&self) -> Option<(u64, u64, u64)> {
+        self.seq_ack
+    }
+
+    /// The scenario-only trace of `scenario`, verified against the
+    /// `Begin` fingerprint so a swapped journal cannot masquerade.
+    fn shell(&self, scenario: TraceScenario) -> Result<Trace, ServeError> {
+        let shell = Trace { version: Trace::FORMAT_VERSION, scenario, events: Vec::new() };
+        if self.fingerprint != shell.fingerprint() {
+            return Err(ServeError::state(format!(
+                "journal was recorded against scenario {:#018x}, not {:#018x}",
+                self.fingerprint,
+                shell.fingerprint()
+            )));
+        }
+        Ok(shell)
+    }
+}
+
+/// Appends journal event `index` to `events`, refusing a gap or repeat.
+fn push_event(
+    events: &mut Vec<TimedEvent>,
+    index: u64,
+    timed: TimedEvent,
+) -> Result<(), ServeError> {
+    if index as usize != events.len() {
+        return Err(ServeError::state(format!(
+            "journal event {index} arrived at position {}",
+            events.len()
+        )));
+    }
+    events.push(timed);
+    Ok(())
+}
+
 impl Session {
     /// Starts a fresh session from a scenario-only trace (its `events`
     /// must be empty — events arrive over the wire). Solves the initial
@@ -130,15 +329,7 @@ impl Session {
                 "Init traces carry the scenario only; push events over the wire",
             ));
         }
-        let Some(algorithm) = Algorithm::by_name(&cfg.algorithm) else {
-            return Err(ServeError::state(format!("unknown algorithm `{}`", cfg.algorithm)));
-        };
-        if algorithm.anytime_solver(0).is_none() {
-            return Err(ServeError::state(format!(
-                "`{}` is one-shot; Solve queries need an anytime-capable algorithm",
-                cfg.algorithm
-            )));
-        }
+        check_algorithm(cfg)?;
         let runtime = Runtime::from_trace(&trace, config.clone())
             .map_err(|e| ServeError::state(e.to_string()))?;
         let journal = match &cfg.journal {
@@ -170,101 +361,55 @@ impl Session {
         })
     }
 
-    /// Rebuilds a session from its journal alone: scenario and events
-    /// come from the `SessionScenario`/`Event` records, state restores
-    /// from the last intact snapshot, and the remaining journaled events
-    /// replay deterministically — landing on exactly the state the
-    /// killed daemon had acknowledged.
+    /// Rebuilds a session from its journal alone — the `--recover`
+    /// restart: [`JournalState::rebuild`] lands on exactly the state the
+    /// killed daemon had acknowledged, and [`Session::resume`] serves it
+    /// from the re-opened journal.
     ///
     /// # Errors
     ///
-    /// [`ServeError::State`] when no journal is configured, the journal
-    /// is damaged beyond its torn tail, it lacks a session scenario, or
-    /// its restore-point snapshot fails the input quarantine; plus
-    /// everything [`Session::start`] can return.
+    /// [`ServeError::State`] when no journal is configured; plus
+    /// everything [`JournalState::rebuild`] and [`Session::resume`] can
+    /// return.
     pub fn recover(cfg: &ServeConfig) -> Result<Session, ServeError> {
-        let Some(path) = cfg.journal.clone() else {
+        let Some(path) = &cfg.journal else {
             return Err(ServeError::state("recovery needs --journal"));
         };
-        let scan = scan_journal(&path, RecoveryPolicy::Strict)
-            .map_err(|e| ServeError::state(e.to_string()))?;
+        let state = JournalState::rebuild(path)?;
+        let journal = Journal::open_append(path).map_err(|e| ServeError::state(e.to_string()))?;
+        Session::resume(state, journal, cfg)
+    }
 
-        let mut scenario = None;
-        let mut events: Vec<TimedEvent> = Vec::new();
-        let mut last_snapshot = None;
-        let mut last_seq_ack: Option<(u64, u64, u64)> = None;
-        for record in scan.records {
-            match record {
-                JournalRecord::SessionScenario { scenario: s } => scenario = Some(s),
-                JournalRecord::Event { index, timed } => {
-                    if index as usize != events.len() {
-                        return Err(ServeError::state(format!(
-                            "journal event {index} arrived at position {}",
-                            events.len()
-                        )));
-                    }
-                    events.push(timed);
-                }
-                JournalRecord::Snapshot { snapshot } => last_snapshot = Some(snapshot),
-                JournalRecord::SeqAck { seq, queued, pending } => {
-                    last_seq_ack = Some((seq, queued, pending));
-                }
-                JournalRecord::Begin { .. }
-                | JournalRecord::Step { .. }
-                | JournalRecord::Recovered { .. } => {}
-            }
-        }
-        let Some(scenario) = scenario else {
+    /// Serves a journal's state: appends a `Recovered` record to
+    /// `journal` (the open handle of the journal `state` came from),
+    /// opens the obs stream, and starts the session fields afresh — no
+    /// solves, pushes or sub-cache, a new supervisor and brownout
+    /// ladder — with the seq-dedup record restored from the last
+    /// journaled acknowledgement, so an acked burst re-sent across the
+    /// crash (or a failover) is answered from it instead of journaled
+    /// twice. Recovery and standby promotion both end here.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::State`] when the journal never recorded a session
+    /// scenario, `cfg.algorithm` is unknown or one-shot (as
+    /// [`Session::start`] refuses it), or the `Recovered` append fails;
+    /// [`ServeError::Io`] for stream filesystem failures.
+    pub fn resume(
+        state: JournalState,
+        mut journal: Journal,
+        cfg: &ServeConfig,
+    ) -> Result<Session, ServeError> {
+        let Some((trace, runtime)) = state.live else {
             return Err(ServeError::state("journal has no SessionScenario record"));
         };
-        let trace = Trace { version: Trace::FORMAT_VERSION, scenario, events };
-
-        // The Begin record fingerprinted the scenario-only shell; verify
-        // against it so a swapped journal cannot masquerade.
-        let shell = Trace { events: Vec::new(), ..trace.clone() };
-        if scan.trace_fingerprint != shell.fingerprint() {
-            return Err(ServeError::state(format!(
-                "journal was recorded against scenario {:#018x}, not {:#018x}",
-                scan.trace_fingerprint,
-                shell.fingerprint()
-            )));
-        }
-
-        failpoint("snapshot.load")?;
-        let mut runtime = match last_snapshot {
-            Some(snapshot) => {
-                // Serde bypasses every builder check: gate the restore
-                // point through the same quarantine `--resume` uses.
-                validate_snapshot(&snapshot)
-                    .gate(false)
-                    .map_err(|e| ServeError::state(e.to_string()))?;
-                Runtime::restore(snapshot, &trace).map_err(|e| ServeError::state(e.to_string()))?
-            }
-            None => Runtime::from_trace(&trace, scan.config)
-                .map_err(|e| ServeError::state(e.to_string()))?,
-        };
-        // Replay every journaled event past the restore point; the state
-        // after this is byte-identical to an uninterrupted session that
-        // flushed the same events.
-        while (runtime.cursor() as usize) < trace.events.len() {
-            let index = runtime.cursor() as usize;
-            runtime
-                .step(index, &trace.events[index])
-                .map_err(|e| ServeError::state(e.to_string()))?;
-        }
-
-        let mut journal =
-            Journal::open_append(&path).map_err(|e| ServeError::state(e.to_string()))?;
+        check_algorithm(cfg)?;
         journal
             .append(&JournalRecord::Recovered { cursor: runtime.cursor() })
             .map_err(|e| ServeError::state(e.to_string()))?;
-
         let stream = open_stream(cfg, &trace, &runtime, true)?;
         tacc_obs::counter_add("serve.recoveries", 1);
-        // Restore the seq-dedup state from the journaled acknowledgement:
-        // an acked burst re-sent across the crash (or a failover) is
-        // answered from here instead of journaled twice.
-        let (last_seq, last_ack) = match last_seq_ack {
+        let (last_seq, last_ack) = match state.seq_ack {
             Some((seq, queued, pending)) => (
                 seq,
                 Some(Response::Accepted { queued: queued as usize, pending: pending as usize }),
@@ -286,6 +431,12 @@ impl Session {
             last_seq,
             last_ack,
         })
+    }
+
+    /// Every event accepted so far, applied or pending, in timeline
+    /// order.
+    pub fn events(&self) -> &[TimedEvent] {
+        &self.trace.events
     }
 
     /// Events accepted but not yet applied.
@@ -845,6 +996,22 @@ impl Session {
         }
         Ok(())
     }
+}
+
+/// Refuses a `cfg.algorithm` that cannot answer `Solve`: an unknown name
+/// or a one-shot solver. Every session constructor checks it, so the
+/// solve path can rely on an anytime solver.
+fn check_algorithm(cfg: &ServeConfig) -> Result<(), ServeError> {
+    let Some(algorithm) = Algorithm::by_name(&cfg.algorithm) else {
+        return Err(ServeError::state(format!("unknown algorithm `{}`", cfg.algorithm)));
+    };
+    if algorithm.anytime_solver(0).is_none() {
+        return Err(ServeError::state(format!(
+            "`{}` is one-shot; Solve queries need an anytime-capable algorithm",
+            cfg.algorithm
+        )));
+    }
+    Ok(())
 }
 
 /// Opens the configured obs JSONL stream. Meta is deterministic only —

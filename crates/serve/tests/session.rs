@@ -291,6 +291,27 @@ fn a_journal_snapshot_that_fails_quarantine_is_refused_on_recovery() {
 }
 
 #[test]
+fn recovery_refuses_an_algorithm_that_cannot_answer_solve() {
+    let trace = trace(40, 61);
+    let dir = temp_dir("algorithm");
+    let journal = dir.join("session.jsonl");
+    let cfg = ServeConfig { journal: Some(journal.clone()), ..ServeConfig::default() };
+    let mut session = Session::start(shell(&trace), runtime_config(), &cfg).unwrap();
+    session.push(trace.events.clone(), 0).unwrap();
+    drop(session);
+    let journaled = std::fs::read(&journal).unwrap();
+
+    // Unchecked, the recovered daemon panicked on its first Solve.
+    for (algorithm, want) in [("greedy-regret", "one-shot"), ("nope", "unknown algorithm")] {
+        let cfg = ServeConfig { algorithm: algorithm.to_owned(), ..cfg.clone() };
+        let err = Session::recover(&cfg).unwrap_err().to_string();
+        assert!(err.contains(want), "{algorithm}: {err}");
+    }
+    assert_eq!(std::fs::read(&journal).unwrap(), journaled, "a refused recovery journals nothing");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn the_snapshot_answer_is_the_journaled_snapshot_byte_for_byte() {
     let trace = trace(150, 59);
     let dir = temp_dir("one-encoding");

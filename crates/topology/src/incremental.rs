@@ -135,6 +135,14 @@ impl SsspTree {
         &self.dist
     }
 
+    /// The lengths of the per-node arrays: `(distances, parent links)`.
+    /// [`SsspTree::build`] makes both the graph's node count; only a
+    /// deserialized tree can disagree, which is what an input
+    /// quarantine looks for.
+    pub fn node_lengths(&self) -> (usize, usize) {
+        (self.dist.len(), self.parent_link.len())
+    }
+
     /// Recomputes the whole tree from scratch — the fallback path, and
     /// the baseline that incremental repairs are measured against.
     pub fn rebuild(&mut self, graph: &Graph, costs: &[f64]) -> UpdateStats {
