@@ -10,7 +10,7 @@
 //! | [`Greedy`] | constructive | cheapest fitting server, several device orderings |
 //! | [`BestFitDecreasing`] | constructive | load-oriented bin-packing heuristic |
 //! | [`MartelloToth`] | constructive + improvement | max-regret desirability with a shift pass |
-//! | [`LocalSearch`] | improvement | shift + swap descent from a greedy start |
+//! | [`LocalSearch`] | improvement | shift + swap descent from a greedy start; anytime as a device sweep |
 //! | [`SimulatedAnnealing`] | metaheuristic | penalized objective, geometric cooling |
 //! | [`TabuSearch`] | metaheuristic | shift moves with tabu tenure + aspiration |
 //! | [`Genetic`] | metaheuristic | tournament GA with repair |

@@ -2,7 +2,8 @@
 //!
 //! For each instance size × anytime algorithm × budget, run
 //! `solve_within` under a hard cap of that many work units (episodes for
-//! Q-learning, annealing steps for SA, generations for the GA) and
+//! Q-learning, annealing steps for SA, generations for the GA, devices
+//! scanned for local search) and
 //! tabulate the incumbent's quality against the greedy-regret warm start
 //! and the full-budget run. The contract under test: **feasibility is
 //! 1.000 under every budget** — even one unit — because every anytime
@@ -17,17 +18,101 @@
 //! configured full run; `feasible_rate` never leaves 1.000 — this
 //! experiment exists to catch the day it does.
 //!
+//! A second table, `exp_anytime_quality_serve.csv`, compares the two
+//! candidates for the daemon's `Solve` primary, q-learning and local
+//! search, at the shapes `tacc serve` solves: the per-zone sub-instances
+//! of an 8-zone 2,000 × 40 session (125 × 5 to 300 × 8 at a 250-unit
+//! share) and the flat 1,000 × 20 session at the full 2,000-unit query
+//! budget, each at loads 0.7, 0.9 and 0.97. Per cell it reports
+//! `vs_greedy`, the share of instances improved over the greedy start
+//! (a lower objective, or a feasible answer where greedy overloads), the
+//! feasible rate, and the wall-clock milliseconds per solve (trials run
+//! one at a time).
+//!
 //! Run: `cargo run --release -p tacc-bench --bin exp_anytime_quality [--quick]`
+
+use std::time::Instant;
 
 use tacc_bench::{fmt3, ExperimentContext};
 use tacc_core::metrics::Table;
 use tacc_core::workload::ScenarioBuilder;
 use tacc_core::Algorithm;
-use tacc_gap::{Budget, GapInstance};
+use tacc_gap::{Budget, GapInstance, Solution};
 
-fn greedy_objective(instance: &GapInstance) -> f64 {
+fn greedy_solution(instance: &GapInstance) -> Solution {
     let greedy = Algorithm::greedy().solver(0);
-    greedy.solve(instance).expect("greedy").objective
+    greedy.solve(instance).expect("greedy")
+}
+
+/// The serve-shape table described in the module docs.
+fn serve_shapes(ctx: &ExperimentContext) -> Table {
+    let shapes: &[(usize, usize, u64)] = ctx
+        .sizes(&[(125, 5, 250), (200, 5, 250), (300, 8, 250), (1000, 20, 2000)], &[(125, 5, 250)]);
+    let loads: &[f64] = ctx.sizes(&[0.7, 0.9, 0.97], &[0.9]);
+    let lineup =
+        [("q-learning", Algorithm::q_learning()), ("local-search", Algorithm::LocalSearch)];
+    let mut table = Table::new(vec![
+        "devices".into(),
+        "servers".into(),
+        "load".into(),
+        "budget".into(),
+        "algorithm".into(),
+        "vs_greedy".into(),
+        "improved_rate".into(),
+        "feasible_rate".into(),
+        "ms_per_solve".into(),
+    ]);
+    for &(devices, servers, budget) in shapes {
+        for &load in loads {
+            let instances: Vec<(u64, GapInstance, Solution)> = ctx
+                .trial_seeds
+                .iter()
+                .map(|&seed| {
+                    let scenario = ScenarioBuilder::new()
+                        .num_iot(devices)
+                        .num_servers(servers)
+                        .load_factor(load)
+                        .build(seed)
+                        .expect("scenario");
+                    let instance = scenario.instance().clone();
+                    let greedy = greedy_solution(&instance);
+                    (seed, instance, greedy)
+                })
+                .collect();
+            for (label, algorithm) in &lineup {
+                let (mut ratio, mut improved, mut feasible, mut ms) = (0.0, 0.0, 0.0, 0.0);
+                for (seed, instance, greedy) in &instances {
+                    let solver = algorithm.anytime_solver(*seed).expect("anytime lineup");
+                    let started = Instant::now();
+                    let (solution, _) = solver
+                        .solve_within(instance, &Budget::units(budget))
+                        .expect("budget exhaustion is not an error");
+                    ms += started.elapsed().as_secs_f64() * 1e3;
+                    ratio += solution.objective / greedy.objective;
+                    if solution.feasible {
+                        feasible += 1.0;
+                        if !greedy.feasible || solution.objective < greedy.objective - 1e-9 {
+                            improved += 1.0;
+                        }
+                    }
+                }
+                let trials = instances.len() as f64;
+                table.push_row(vec![
+                    devices.to_string(),
+                    servers.to_string(),
+                    format!("{load:.2}"),
+                    budget.to_string(),
+                    (*label).to_owned(),
+                    fmt3(ratio / trials),
+                    fmt3(improved / trials),
+                    fmt3(feasible / trials),
+                    fmt3(ms / trials),
+                ]);
+            }
+        }
+        eprintln!("[exp_anytime_quality] finished serve shape {devices} x {servers}");
+    }
+    table
 }
 
 fn main() {
@@ -38,6 +123,7 @@ fn main() {
         ("q-learning", Algorithm::q_learning()),
         ("simulated-annealing", Algorithm::SimulatedAnnealing),
         ("genetic", Algorithm::Genetic(Default::default())),
+        ("local-search", Algorithm::LocalSearch),
     ];
 
     let mut table = Table::new(vec![
@@ -66,7 +152,7 @@ fn main() {
                     .build(seed)
                     .expect("scenario");
                 let instance = scenario.instance().clone();
-                let greedy = greedy_objective(&instance);
+                let greedy = greedy_solution(&instance).objective;
                 (seed, instance, greedy)
             })
             .collect();
@@ -114,4 +200,5 @@ fn main() {
         eprintln!("[exp_anytime_quality] finished n = {devices}");
     }
     ctx.finish(&table);
+    ctx.finish_extra("serve", &serve_shapes(&ctx));
 }

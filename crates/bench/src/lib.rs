@@ -91,8 +91,18 @@ impl ExperimentContext {
 
     /// Prints the table and writes `<out>/<name>.csv`.
     pub fn finish(&self, table: &Table) {
+        self.write(&format!("{}.csv", self.name), table);
+    }
+
+    /// Prints a second table of the experiment and writes it to
+    /// `<out>/<name>_<suffix>.csv`.
+    pub fn finish_extra(&self, suffix: &str, table: &Table) {
+        self.write(&format!("{}_{suffix}.csv", self.name), table);
+    }
+
+    fn write(&self, file: &str, table: &Table) {
         println!("{}", table.to_ascii());
-        let path = self.out_dir.join(format!("{}.csv", self.name));
+        let path = self.out_dir.join(file);
         table.write_csv(&path).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
         eprintln!(
             "[{}] wrote {} ({} rows) in {:.1?}",

@@ -50,10 +50,11 @@ OPTIONS (all subcommands):
                      traces/snapshots to hard errors
 
 solve only:
-  --budget N         anytime work budget (episodes / steps / generations);
-                     runs under the guard supervisor: best-so-far answer,
-                     fallback ladder on failure, GuardReport in the output.
-                     Requires an iterative algorithm (the RL learners,
+  --budget N         anytime work budget (episodes / device scans / steps /
+                     generations); runs under the guard supervisor:
+                     best-so-far answer, fallback ladder on failure,
+                     GuardReport in the output. Requires an iterative
+                     algorithm (the RL learners, local-search,
                      simulated-annealing, tabu-search, genetic)
   --zones K          hierarchical zone decomposition — partition the servers
                      into K zones by gateway locality, route devices on the
@@ -142,7 +143,7 @@ serve only:
                      fsync'd before the Accepted response
   --recover          rebuild the session from --journal before serving
   --obs-out FILE     deterministic JSONL stream of the session
-  --algorithm NAME   anytime solver answering Solve queries [default q-learning]
+  --algorithm NAME   anytime solver answering Solve queries [default local-search]
   --batch-size N     pending events per coalesced apply     [default 64]
   --max-pending N    admission-control backlog cap          [default 4096]
   --query-budget N   default Solve work budget (units)      [default 2000]
@@ -334,7 +335,7 @@ fn solve_supervised(
     let Some(primary) = algorithm.anytime_solver(seed) else {
         return Err(format!(
             "--budget needs an iterative algorithm (q-learning, double-q-learning, sarsa, \
-             simulated-annealing, tabu-search, genetic); `{}` is one-shot",
+             local-search, simulated-annealing, tabu-search, genetic); `{}` is one-shot",
             algorithm.name()
         ));
     };

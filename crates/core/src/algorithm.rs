@@ -36,7 +36,8 @@ pub enum Algorithm {
     BestFitDecreasing,
     /// Martello–Toth max-regret construction with a shift pass.
     MartelloToth(Desirability),
-    /// Shift+swap steepest descent from a greedy start.
+    /// Shift+swap descent from a greedy start: steepest one-shot, a
+    /// device sweep under a budget.
     LocalSearch,
     /// Lagrangian relaxation with primal repair.
     Lagrangian,
@@ -100,10 +101,10 @@ impl Algorithm {
     }
 
     /// Instantiates the solver as a budget-aware [`AnytimeSolver`], for
-    /// algorithms with an iterative core (the tabular RL learners and
-    /// the metaheuristics). Returns `None` for constructive one-shot
-    /// heuristics and the exact solvers, whose work is not meaningfully
-    /// divisible into budget units.
+    /// algorithms with an iterative core (the tabular RL learners, local
+    /// search and the metaheuristics). Returns `None` for constructive
+    /// one-shot heuristics and the exact solvers, whose work is not
+    /// meaningfully divisible into budget units.
     pub fn anytime_solver(&self, seed: u64) -> Option<Box<dyn AnytimeSolver>> {
         match self {
             Algorithm::QLearning(cfg) => Some(Box::new(QLearning::new(cfg.clone(), seed))),
@@ -111,6 +112,7 @@ impl Algorithm {
                 Some(Box::new(DoubleQLearning::new(cfg.clone(), seed)))
             }
             Algorithm::Sarsa(cfg) => Some(Box::new(Sarsa::new(cfg.clone(), seed))),
+            Algorithm::LocalSearch => Some(Box::new(LocalSearch::new(seed))),
             Algorithm::SimulatedAnnealing => Some(Box::new(SimulatedAnnealing::new(seed))),
             Algorithm::TabuSearch => Some(Box::new(TabuSearch::new(seed))),
             Algorithm::Genetic(cfg) => Some(Box::new(Genetic::new(cfg.clone(), seed))),
@@ -209,7 +211,7 @@ mod tests {
             assert!(g.spent <= 1, "{}: spent {}", g.solver, g.spent);
             assert_eq!(g.degradation, DegradationLevel::Truncated, "{}", g.solver);
         }
-        assert_eq!(anytime, 6, "the RL learners and the metaheuristics are anytime");
+        assert_eq!(anytime, 7, "the RL learners, local search and the metaheuristics are anytime");
         assert!(Algorithm::greedy().anytime_solver(0).is_none());
         assert!(Algorithm::BruteForce.anytime_solver(0).is_none());
     }

@@ -6,9 +6,10 @@
 //! (`tacc-guard`) shares with every budget-aware solver:
 //!
 //! - [`Budget`]: a cap on *deterministic work units* (episodes for the RL
-//!   family, steps/generations/iterations for the metaheuristics). Counting
-//!   units instead of wall-clock keeps budgeted runs bit-for-bit
-//!   reproducible: same seed + same budget → same answer, on any machine.
+//!   family, devices scanned for local search, steps/generations/iterations
+//!   for the metaheuristics). Counting units instead of wall-clock keeps
+//!   budgeted runs bit-for-bit reproducible: same seed + same budget →
+//!   same answer, on any machine.
 //! - [`BudgetMeter`]: the running tally a solver consults once per unit.
 //!   A wall-clock backstop exists for operators who want a hard ceiling on
 //!   a wedged solver, but it is *off by default* and only armed through the
@@ -39,9 +40,10 @@ pub const WALLCLOCK_ENV: &str = "TACC_WALLCLOCK_GUARD";
 
 /// A deterministic cap on solver work.
 ///
-/// The unit is solver-specific but always the outermost loop trip:
-/// episodes (Q-learning, SARSA, double Q-learning), annealing steps,
-/// GA generations, or tabu iterations. [`Budget::unlimited`] lets the
+/// The unit is solver-specific, a fixed slice of the solver's work:
+/// episodes (Q-learning, SARSA, double Q-learning), devices scanned
+/// (local search: one device's shifts and swaps), annealing steps, GA
+/// generations, or tabu iterations. [`Budget::unlimited`] lets the
 /// solver run to its configured completion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Budget {

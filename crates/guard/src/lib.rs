@@ -6,10 +6,11 @@
 //! solver stack in three guarantees:
 //!
 //! 1. **Deadline-aware anytime solving.** A [`Budget`] caps the work a
-//!    solver may spend in deterministic units (RL episodes, SA steps, GA
-//!    generations). Every [`AnytimeSolver`] seeds a feasible incumbent
-//!    before spending its first unit and returns best-so-far when the
-//!    budget runs out — exhaustion is a *truncation*, never an error.
+//!    solver may spend in deterministic units (RL episodes, devices
+//!    scanned by local search, SA steps, GA generations). Every
+//!    [`AnytimeSolver`] seeds a feasible incumbent before spending its
+//!    first unit and returns best-so-far when the budget runs out —
+//!    exhaustion is a *truncation*, never an error.
 //!    Same seed + same budget → byte-identical [`GuardReport`].
 //! 2. **A fallback ladder with circuit breakers.** [`Supervisor::supervise`]
 //!    runs primary solver → greedy → last-known-good, catching panics at

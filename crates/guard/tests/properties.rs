@@ -11,7 +11,9 @@
 
 use proptest::prelude::*;
 
-use tacc_baselines::{DeviceOrder, Genetic, GeneticConfig, Greedy, SimulatedAnnealing, TabuSearch};
+use tacc_baselines::{
+    DeviceOrder, Genetic, GeneticConfig, Greedy, LocalSearch, SimulatedAnnealing, TabuSearch,
+};
 use tacc_gap::{AnytimeSolver, Budget, GapError, GapInstance, GuardReport, Solution, Solver};
 use tacc_guard::{Supervisor, SupervisorConfig};
 use tacc_rl::{EpsilonSchedule, QLearning, QLearningConfig};
@@ -34,8 +36,8 @@ fn instance_strategy() -> impl Strategy<Value = GapInstance> {
     })
 }
 
-/// The anytime portfolio under test: one RL learner plus the three
-/// metaheuristics.
+/// The anytime portfolio under test: one RL learner, local search and
+/// the three metaheuristics.
 fn anytime_portfolio(seed: u64) -> Vec<Box<dyn AnytimeSolver>> {
     let ql = QLearningConfig {
         episodes: 60,
@@ -44,6 +46,7 @@ fn anytime_portfolio(seed: u64) -> Vec<Box<dyn AnytimeSolver>> {
     };
     vec![
         Box::new(QLearning::new(ql, seed)),
+        Box::new(LocalSearch::new(seed)),
         Box::new(SimulatedAnnealing::new(seed)),
         Box::new(TabuSearch::new(seed)),
         Box::new(Genetic::new(GeneticConfig { generations: 40, ..GeneticConfig::default() }, seed)),
