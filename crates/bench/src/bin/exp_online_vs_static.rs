@@ -101,7 +101,7 @@ fn run_static(trace: &Trace, seed: u64) -> Accum {
         let mut delay_sum = 0.0;
         for (device, &server) in home.iter().enumerate() {
             let Some(server) = server else { continue };
-            let delay = maintainer.matrix().get(device, server);
+            let delay = maintainer.delay(&topology, device, server);
             if wanted[device] && !maintainer.is_failed(server) && delay.is_finite() {
                 served += 1;
                 delay_sum += delay;

@@ -1831,23 +1831,41 @@ mod tests {
         let trace = Trace::from_json(&std::fs::read_to_string(&trace_path).unwrap()).unwrap();
         let snapshot: Value =
             serde_json::from_str(&std::fs::read_to_string(&snap_path).unwrap()).unwrap();
-        let cases = [("failed", 3), ("costs", 10), ("trees", 2)].map(|(field, keep)| {
+        // One member of a JSON object, for editing in place.
+        fn member<'a>(value: &'a mut Value, key: &str) -> &'a mut Value {
+            let Value::Object(fields) = value else { panic!("`{key}` sits in an object") };
+            &mut fields.iter_mut().find(|(k, _)| k == key).expect("member present").1
+        }
+        let mut cases = Vec::new();
+        for (field, keep) in [("failed", 3), ("costs", 10), ("trees", 2)] {
             let mut value = snapshot.clone();
-            let Value::Object(fields) = &mut value else { panic!("a snapshot is an object") };
-            let Some((_, Value::Object(maintainer))) =
-                fields.iter_mut().find(|(k, _)| k == "maintainer")
-            else {
-                panic!("the maintainer is an object")
-            };
-            let Some((_, Value::Array(items))) = maintainer.iter_mut().find(|(k, _)| k == field)
-            else {
+            let Value::Array(items) = member(member(&mut value, "maintainer"), field) else {
                 panic!("maintainer.{field} is an array")
             };
             items.truncate(keep);
-            let finding = format!("maintainer {field} has length {keep}");
-            (finding, serde_json::from_value(&value).unwrap())
-        });
-        (trace, cases.into())
+            cases.push((format!("maintainer {field} has length {keep}"), value));
+        }
+        // Server 0's tree re-rooted outside the graph, then at server 1.
+        let mut topology = snapshot.clone();
+        let Value::Array(servers) = member(member(&mut topology, "topology"), "servers") else {
+            panic!("topology.servers is an array")
+        };
+        let (&Value::UInt(home), &Value::UInt(next)) = (&servers[0], &servers[1]) else {
+            panic!("node ids are unsigned")
+        };
+        for source in [1_000_000, next] {
+            let mut value = snapshot.clone();
+            let Value::Array(trees) = member(member(&mut value, "maintainer"), "trees") else {
+                panic!("maintainer.trees is an array")
+            };
+            *member(&mut trees[0], "source") = Value::UInt(source);
+            let finding =
+                format!("maintainer tree 0 is rooted at node {source}, expected node {home}");
+            cases.push((finding, value));
+        }
+        let cases =
+            cases.into_iter().map(|(f, value)| (f, serde_json::from_value(&value).unwrap()));
+        (trace, cases.collect())
     }
 
     #[test]

@@ -138,6 +138,15 @@ pub enum ValidationIssue {
         /// Length expected.
         expected: usize,
     },
+    /// A snapshot's shortest-path tree is not rooted at its server's node.
+    MisrootedTree {
+        /// The server whose tree it is.
+        server: usize,
+        /// The node the tree grows from.
+        found: usize,
+        /// The server's node in the topology.
+        expected: usize,
+    },
     /// A per-device priority is non-positive or non-finite.
     BadPriority {
         /// Device index.
@@ -211,6 +220,12 @@ impl fmt::Display for ValidationIssue {
             }
             ValidationIssue::LengthMismatch { what, found, expected } => {
                 write!(f, "{what} has length {found}, expected {expected}")
+            }
+            ValidationIssue::MisrootedTree { server, found, expected } => {
+                write!(
+                    f,
+                    "maintainer tree {server} is rooted at node {found}, expected node {expected}"
+                )
             }
             ValidationIssue::BadPriority { device, value } => {
                 write!(f, "device {device} has bad priority {value}")
@@ -405,8 +420,11 @@ pub fn validate_trace(trace: &Trace) -> QuarantineReport {
 /// Validates a restored runtime snapshot: version, the carried topology
 /// (serde bypasses all builder checks), per-device vector lengths against
 /// the topology, assignment server indices, config priorities, and the
-/// shape of the delay maintainer's own state
-/// ([`tacc_runtime::DelayMaintainer::shape_mismatches`]).
+/// delay maintainer's own state: its arrays' shape
+/// ([`tacc_runtime::DelayMaintainer::shape_mismatches`]) and each tree's
+/// source ([`tacc_runtime::DelayMaintainer::misrooted_trees`]). The
+/// snapshot carries no delay matrix; the restore reads it out of the
+/// trees this checks.
 #[must_use]
 pub fn validate_snapshot(snapshot: &RuntimeSnapshot) -> QuarantineReport {
     let mut report = QuarantineReport::new("snapshot");
@@ -476,6 +494,10 @@ pub fn validate_snapshot(snapshot: &RuntimeSnapshot) -> QuarantineReport {
     }
     for (what, found, expected) in snapshot.maintainer.shape_mismatches(&snapshot.topology) {
         report.issues.push(ValidationIssue::LengthMismatch { what, found, expected });
+    }
+    for (server, found, expected) in snapshot.maintainer.misrooted_trees(&snapshot.topology) {
+        let (found, expected) = (found.index(), expected.index());
+        report.issues.push(ValidationIssue::MisrootedTree { server, found, expected });
     }
     report
 }

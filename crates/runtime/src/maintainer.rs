@@ -1,18 +1,18 @@
-//! Incremental maintenance of the IoT × server delay matrix.
+//! Incremental maintenance of the IoT × server delays.
 //!
 //! [`DelayMaintainer`] owns one [`SsspTree`] per edge server plus the
 //! effective per-link cost array, and repairs both in place as link
 //! latencies drift and servers fail or recover. In incremental mode only
 //! the shortest-path trees actually affected by a change are re-relaxed,
-//! and only the matrix entries of the IoT nodes a repair touched are
-//! rewritten; each step reports those `(row, column)` entries so the
-//! runtime can patch its cluster's copy the same way. Debug builds — and
-//! release builds running under `TACC_CHECK=1`, see [`crate::check`] —
-//! assert after every repair that each tree agrees with a from-scratch
-//! Dijkstra and the patched matrix with a full read-out of the trees.
-//! The full-recompute fallback rebuilds every tree on every change,
-//! re-reads the whole matrix, and serves as the correctness oracle and
-//! worst-case bound.
+//! and each step reports the `(row, column)` entries of the IoT nodes a
+//! repair touched; the runtime reads their new values out of the trees
+//! ([`DelayMaintainer::delay`]) and patches its cluster's instance, the
+//! one materialized delay matrix. Debug builds — and release builds
+//! running under `TACC_CHECK=1`, see [`crate::check`] — assert after
+//! every repair that each tree agrees with a from-scratch Dijkstra. The
+//! full-recompute fallback rebuilds every tree on every change, reports
+//! every entry, and serves as the correctness oracle and worst-case
+//! bound.
 //!
 //! Server failure is modeled as *node* failure (matching
 //! [`tacc_topology::Topology::with_failed_node`]): every link incident to
@@ -23,12 +23,12 @@
 
 use serde::{Deserialize, Serialize};
 use tacc_topology::incremental::{SsspTree, UpdateStats};
-use tacc_topology::{DelayMatrix, DelayModel, DelayOracle, LinkId, Topology};
+use tacc_topology::{DelayMatrix, DelayModel, LinkId, NodeId, Topology};
 
-/// Maintains per-server shortest-path trees and the delay matrix across
-/// topology changes. Serializes as part of runtime snapshots; the restored
-/// value is field-for-field identical, so resumed runs repair the exact
-/// same tree structures.
+/// Maintains per-server shortest-path trees across topology changes;
+/// the delays are read out of them. Serializes as part of runtime
+/// snapshots; the restored value is field-for-field identical, so
+/// resumed runs repair the exact same tree structures.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DelayMaintainer {
     model: DelayModel,
@@ -40,9 +40,9 @@ pub struct DelayMaintainer {
     disabled: Vec<u32>,
     /// Effective costs: `base_costs` with disabled links at infinity.
     costs: Vec<f64>,
-    /// One tree per server column, in role order.
+    /// One tree per server, in role order: tree `j` is rooted at
+    /// server `j` and holds column `j` of the delay matrix.
     trees: Vec<SsspTree>,
-    matrix: DelayMatrix,
     failed: Vec<bool>,
     /// Fallback mode: rebuild every tree from scratch on every change.
     full_mode: bool,
@@ -52,31 +52,8 @@ pub struct DelayMaintainer {
 }
 
 impl DelayMaintainer {
-    /// Builds the trees and matrix for a healthy topology.
+    /// Builds the trees for a healthy topology.
     pub fn new(topology: &Topology, model: DelayModel, full_mode: bool) -> Self {
-        let columns: Vec<usize> = (0..topology.num_servers()).collect();
-        Self::new_scoped(topology, model, full_mode, &columns)
-    }
-
-    /// Builds a maintainer that keeps trees and matrix columns only for
-    /// the listed server indices (a zone's members), in the given
-    /// order. Everything downstream — drift repair, failure handling,
-    /// the oracle impl — works in *column* space: column `c` is server
-    /// `columns[c]` of the topology. A scoped column is bit-identical
-    /// to the corresponding column of an unscoped maintainer fed the
-    /// same events, because each tree only depends on its own source
-    /// and the shared link costs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `columns` is empty or any index is out of range.
-    pub fn new_scoped(
-        topology: &Topology,
-        model: DelayModel,
-        full_mode: bool,
-        columns: &[usize],
-    ) -> Self {
-        assert!(!columns.is_empty(), "a maintainer needs at least one server column");
         debug_assert!(
             topology.iot_nodes().windows(2).all(|w| w[0] < w[1]),
             "row lookup binary-searches the IoT nodes"
@@ -86,31 +63,57 @@ impl DelayMaintainer {
             graph.links().map(|(_, link)| model.link_delay_ms(link)).collect();
         let costs = base_costs.clone();
         let mut baseline = UpdateStats::default();
-        let trees: Vec<SsspTree> = columns
+        let trees: Vec<SsspTree> = topology
+            .server_nodes()
             .iter()
-            .map(|&server| {
-                let (tree, stats) = SsspTree::build(graph, topology.server_nodes()[server], &costs);
+            .map(|&node| {
+                let (tree, stats) = SsspTree::build(graph, node, &costs);
                 baseline.absorb(stats);
                 tree
             })
             .collect();
-        let matrix = matrix_from_trees(&trees, topology);
         DelayMaintainer {
             model,
             base_costs,
             disabled: vec![0; graph.link_count()],
             costs,
             trees,
-            matrix,
-            failed: vec![false; columns.len()],
+            failed: vec![false; topology.num_servers()],
             full_mode,
             baseline,
         }
     }
 
-    /// The maintained delay matrix.
-    pub fn matrix(&self) -> &DelayMatrix {
-        &self.matrix
+    /// The delay from IoT device `iot` to server `server`, read out of
+    /// the server's tree: `f64::INFINITY` when unreachable, including
+    /// every entry of a failed server's column.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either index is out of range.
+    pub fn delay(&self, topology: &Topology, iot: usize, server: usize) -> f64 {
+        self.trees[server].distance(topology.iot_nodes()[iot])
+    }
+
+    /// The whole delay matrix, read out of the trees: what the runtime's
+    /// construction and invariant checks hold its cluster's instance to.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the maintainer's trees do not fit `topology`
+    /// ([`DelayMaintainer::shape_mismatches`] is non-empty) or hold a
+    /// negative or NaN distance at an IoT node.
+    pub fn delay_matrix(&self, topology: &Topology) -> DelayMatrix {
+        let rows: Vec<Vec<f64>> = topology
+            .iot_nodes()
+            .iter()
+            .map(|&iot| self.trees.iter().map(|tree| tree.distance(iot)).collect())
+            .collect();
+        DelayMatrix::from_rows_with_nodes(
+            rows,
+            topology.iot_nodes().to_vec(),
+            self.trees.iter().map(SsspTree::source).collect(),
+        )
     }
 
     /// The link-delay model the costs derive from.
@@ -118,7 +121,7 @@ impl DelayMaintainer {
         &self.model
     }
 
-    /// Whether server column `server` is currently failed.
+    /// Whether server `server` is currently failed.
     ///
     /// # Panics
     ///
@@ -149,28 +152,21 @@ impl DelayMaintainer {
     /// Where this maintainer's shape disagrees with `topology`, as
     /// `(what, found, expected)` lengths: the per-link `base_costs`,
     /// `costs` and `disabled` against the link count, `failed` and
-    /// `trees` against the server count, the matrix against the IoT and
-    /// server counts (and its stored data and node lists against its own
-    /// dimensions), and every tree against the node count. Empty for any
-    /// maintainer [`DelayMaintainer::new`] built over `topology`; a
-    /// deserialized one that disagrees would index out of bounds on the
-    /// next step, so snapshot quarantine reports these before a restore.
+    /// `trees` against the server count, and every tree against the node
+    /// count. Empty for any maintainer [`DelayMaintainer::new`] built
+    /// over `topology`; a deserialized one that disagrees would index out
+    /// of bounds when its delays are read or on the next step, so
+    /// snapshot quarantine reports these before a restore, and the
+    /// restore itself refuses them.
     pub fn shape_mismatches(&self, topology: &Topology) -> Vec<(&'static str, usize, usize)> {
         let graph = topology.graph();
         let (links, nodes) = (graph.link_count(), graph.node_count());
-        let (rows, columns) = (self.matrix.num_iot(), self.matrix.num_servers());
-        let (data, iot_nodes, server_nodes) = self.matrix.stored_lengths();
         let mut lengths = vec![
             ("maintainer base_costs", self.base_costs.len(), links),
             ("maintainer costs", self.costs.len(), links),
             ("maintainer disabled", self.disabled.len(), links),
             ("maintainer failed", self.failed.len(), topology.num_servers()),
             ("maintainer trees", self.trees.len(), topology.num_servers()),
-            ("maintainer matrix rows", rows, topology.num_iot()),
-            ("maintainer matrix columns", columns, topology.num_servers()),
-            ("maintainer matrix data", data, rows.saturating_mul(columns)),
-            ("maintainer matrix IoT nodes", iot_nodes, rows),
-            ("maintainer matrix server nodes", server_nodes, columns),
         ];
         for tree in &self.trees {
             let (distances, parents) = tree.node_lengths();
@@ -181,12 +177,29 @@ impl DelayMaintainer {
         lengths
     }
 
+    /// The trees not rooted at their server's node, as `(server, found,
+    /// expected)`: tree `j` must grow from `topology.server_nodes()[j]`.
+    /// Empty for any maintainer [`DelayMaintainer::new`] built over
+    /// `topology`. A deserialized tree with another source passes every
+    /// length check, then repairs and rebuilds from the wrong node (or
+    /// out of the graph), so snapshot quarantine reports these too.
+    pub fn misrooted_trees(&self, topology: &Topology) -> Vec<(usize, NodeId, NodeId)> {
+        self.trees
+            .iter()
+            .zip(topology.server_nodes())
+            .enumerate()
+            .filter(|(_, (tree, &node))| tree.source() != node)
+            .map(|(server, (tree, &node))| (server, tree.source(), node))
+            .collect()
+    }
+
     /// Applies a latency drift that the caller has already written into
     /// `topology` (via [`Topology::set_link_latency`]). Returns the repair
     /// work performed and appends to `changed` the `(row, column)`
-    /// matrix entries it rewrote — possibly with repeats, and possibly
-    /// entries whose value came out the same. Every entry it leaves out
-    /// is unchanged.
+    /// entries whose delay it rewrote — possibly with repeats, and
+    /// possibly entries whose value came out the same; their new values
+    /// are [`DelayMaintainer::delay`]. Every entry it leaves out is
+    /// unchanged.
     ///
     /// # Panics
     ///
@@ -265,9 +278,7 @@ impl DelayMaintainer {
         disable: bool,
         changed: &mut Vec<(usize, usize)>,
     ) -> UpdateStats {
-        // Column space, not topology space: a scoped maintainer's
-        // column `server` may sit on any topology server node.
-        let node = self.matrix.server_node(server);
+        let node = topology.server_nodes()[server];
         let incident: Vec<LinkId> =
             topology.graph().neighbors(node).iter().map(|n| n.link).collect();
         let mut total = UpdateStats::default();
@@ -293,9 +304,9 @@ impl DelayMaintainer {
 
     /// Repairs every tree after `costs[link]` changed from `old_cost`,
     /// honoring the full-recompute fallback mode. In incremental mode it
-    /// also patches the matrix entries of the IoT nodes each repair
-    /// touched (found by binary search: [`Topology::new`] lists IoT
-    /// nodes in ascending id order) and appends them to `changed`.
+    /// also appends to `changed` the entries of the IoT nodes each
+    /// repair touched (rows found by binary search: [`Topology::new`]
+    /// lists IoT nodes in ascending id order).
     fn repair(
         &mut self,
         topology: &Topology,
@@ -325,9 +336,8 @@ impl DelayMaintainer {
                 );
             }
             // Routers and servers have no row; only IoT nodes do.
-            for &node in &touched {
-                if let Ok(row) = iot.binary_search(&node) {
-                    self.matrix.set(row, column, tree.distance(node));
+            for node in &touched {
+                if let Ok(row) = iot.binary_search(node) {
                     changed.push((row, column));
                 }
             }
@@ -335,33 +345,21 @@ impl DelayMaintainer {
         total
     }
 
-    /// Completes one event's matrix update. Full mode re-reads the whole
-    /// matrix out of its rebuilt trees and lists every entry that moved;
-    /// incremental mode has patched its entries already, and checks them
-    /// against that same read-out where the tree oracle runs.
-    fn finish(&mut self, topology: &Topology, changed: &mut Vec<(usize, usize)>) {
+    /// Completes one event's report. Full mode rebuilt every tree, so it
+    /// lists every entry; incremental mode listed its entries during the
+    /// repairs.
+    fn finish(&self, topology: &Topology, changed: &mut Vec<(usize, usize)>) {
         if self.full_mode {
-            let fresh = matrix_from_trees(&self.trees, topology);
-            for row in 0..fresh.num_iot() {
-                let (old, new) = (self.matrix.row(row), fresh.row(row));
-                for (column, (a, b)) in old.iter().zip(new).enumerate() {
-                    if a.to_bits() != b.to_bits() {
-                        changed.push((row, column));
-                    }
-                }
+            for row in 0..topology.num_iot() {
+                changed.extend((0..self.trees.len()).map(|column| (row, column)));
             }
-            self.matrix = fresh;
-        } else if cfg!(debug_assertions) || crate::check::enabled() {
-            assert!(
-                self.matrix == matrix_from_trees(&self.trees, topology),
-                "patched delay matrix diverged from a full read-out of its trees"
-            );
         }
     }
 
-    /// Correctness oracle: the maintained matrix must equal the one
-    /// derived from scratch on the equivalent degraded topology (failed
-    /// servers' nodes disconnected). Used by tests and debug assertions.
+    /// Correctness oracle: the delays read out of the trees must equal
+    /// the matrix derived from scratch on the equivalent degraded
+    /// topology (failed servers' nodes disconnected). Used by tests and
+    /// the sampled deep invariant check.
     // The contract is *bit-for-bit* agreement, so exact comparison is
     // the point, not an accident.
     #[allow(clippy::float_cmp)]
@@ -369,75 +367,19 @@ impl DelayMaintainer {
         let mut degraded = topology.clone();
         for (server, &failed) in self.failed.iter().enumerate() {
             if failed {
-                degraded = degraded.with_failed_node(self.matrix.server_node(server));
+                degraded = degraded.with_failed_node(topology.server_nodes()[server]);
             }
         }
         let fresh = degraded.delay_matrix(&self.model);
-        // Map each maintained column to its topology server index — the
-        // identity for an unscoped maintainer, the member list for a
-        // scoped one.
-        let global: Vec<usize> = (0..self.matrix.num_servers())
-            .map(|j| {
-                let node = self.matrix.server_node(j);
-                topology
-                    .server_nodes()
-                    .iter()
-                    .position(|&s| s == node)
-                    .expect("maintained columns are topology servers")
-            })
-            .collect();
         // with_failed_node reassigns link ids, so compare matrices (the
         // externally visible product), not trees.
-        (0..self.matrix.num_iot()).all(|i| {
-            global.iter().enumerate().all(|(j, &gj)| {
-                let a = self.matrix.get(i, j);
-                let b = fresh.get(i, gj);
+        (0..fresh.num_iot()).all(|i| {
+            (0..fresh.num_servers()).all(|j| {
+                let (a, b) = (self.delay(topology, i, j), fresh.get(i, j));
                 a == b || (a.is_infinite() && b.is_infinite())
             })
         })
     }
-}
-
-/// The maintainer answers delay queries straight from its per-server
-/// shortest-path trees — the same values as [`DelayMaintainer::matrix`]
-/// (the matrix is patched from the trees after every event), but
-/// available per entry without touching the materialized matrix. Online
-/// paths that only need a sliver of the matrix (one event's device, one
-/// query's sub-instance) go through this impl.
-impl DelayOracle for DelayMaintainer {
-    fn num_iot(&self) -> usize {
-        self.matrix.num_iot()
-    }
-
-    fn num_servers(&self) -> usize {
-        self.matrix.num_servers()
-    }
-
-    fn delay(&self, iot: usize, server: usize) -> f64 {
-        self.trees[server].distance(self.matrix.iot_node(iot))
-    }
-
-    fn materialize(&self) -> DelayMatrix {
-        self.matrix.clone()
-    }
-}
-
-/// Reads the whole matrix out of the trees: at construction, on every
-/// full-mode event, and as the oracle for patched ones. Columns of failed
-/// servers come out infinite because all their incident links do. Column
-/// nodes come from the tree sources, so scoped maintainers get exactly
-/// their columns.
-fn matrix_from_trees(trees: &[SsspTree], topology: &Topology) -> DelayMatrix {
-    let rows: Vec<Vec<f64>> = topology
-        .iot_nodes()
-        .iter()
-        .map(|&iot| trees.iter().map(|tree| tree.distance(iot)).collect())
-        .collect();
-    DelayMatrix::from_rows_with_nodes(
-        rows,
-        topology.iot_nodes().to_vec(),
-        trees.iter().map(SsspTree::source).collect(),
-    )
 }
 
 #[cfg(test)]
@@ -461,7 +403,7 @@ mod tests {
         let topo = topology();
         let model = DelayModel::default();
         let maintainer = DelayMaintainer::new(&topo, model.clone(), false);
-        assert_eq!(maintainer.matrix(), &topo.delay_matrix(&model));
+        assert_eq!(maintainer.delay_matrix(&topo), topo.delay_matrix(&model));
     }
 
     #[test]
@@ -473,7 +415,11 @@ mod tests {
             let link = topo.graph().link_id(step % topo.graph().link_count());
             topo.set_link_latency(link, raw).unwrap();
             maintainer.drift(&topo, link, &mut Vec::new());
-            assert_eq!(maintainer.matrix(), &topo.delay_matrix(&model), "after drift to {raw}");
+            assert_eq!(
+                maintainer.delay_matrix(&topo),
+                topo.delay_matrix(&model),
+                "after drift to {raw}"
+            );
         }
     }
 
@@ -482,33 +428,33 @@ mod tests {
         let topo = topology();
         let model = DelayModel::default();
         let mut maintainer = DelayMaintainer::new(&topo, model.clone(), false);
-        let before = maintainer.matrix().clone();
+        let before = maintainer.delay_matrix(&topo);
 
         maintainer.fail_server(&topo, 1, &mut Vec::new());
         assert!(maintainer.is_failed(1));
         assert_eq!(maintainer.alive_count(), 3);
         // The failed column is unreachable for every device.
         for i in 0..before.num_iot() {
-            assert!(maintainer.matrix().get(i, 1).is_infinite());
+            assert!(maintainer.delay(&topo, i, 1).is_infinite());
         }
         assert!(maintainer.matches_full_recompute(&topo));
 
         maintainer.recover_server(&topo, 1, &mut Vec::new());
-        assert_eq!(maintainer.matrix(), &before, "recovery restores the original matrix");
+        assert_eq!(maintainer.delay_matrix(&topo), before, "recovery restores the original matrix");
     }
 
     #[test]
     fn overlapping_failures_reference_count_links() {
         let topo = topology();
         let mut maintainer = DelayMaintainer::new(&topo, DelayModel::default(), false);
-        let before = maintainer.matrix().clone();
+        let before = maintainer.delay_matrix(&topo);
         maintainer.fail_server(&topo, 0, &mut Vec::new());
         maintainer.fail_server(&topo, 2, &mut Vec::new());
         assert!(maintainer.matches_full_recompute(&topo));
         maintainer.recover_server(&topo, 0, &mut Vec::new());
         assert!(maintainer.matches_full_recompute(&topo));
         maintainer.recover_server(&topo, 2, &mut Vec::new());
-        assert_eq!(maintainer.matrix(), &before);
+        assert_eq!(maintainer.delay_matrix(&topo), before);
     }
 
     #[test]
@@ -525,7 +471,7 @@ mod tests {
         assert_eq!(stats, UpdateStats::default(), "failed link drift does no tree work");
 
         maintainer.recover_server(&topo, 2, &mut Vec::new());
-        assert_eq!(maintainer.matrix(), &topo.delay_matrix(&model));
+        assert_eq!(maintainer.delay_matrix(&topo), topo.delay_matrix(&model));
     }
 
     #[test]
@@ -542,7 +488,7 @@ mod tests {
             topo_b.set_link_latency(link_b, 1.0 + step as f64).unwrap();
             let inc_stats = inc.drift(&topo_a, link_a, &mut Vec::new());
             let full_stats = full.drift(&topo_b, link_b, &mut Vec::new());
-            assert_eq!(inc.matrix(), full.matrix());
+            assert_eq!(inc.delay_matrix(&topo_a), full.delay_matrix(&topo_b));
             assert!(
                 inc_stats.settled <= full_stats.settled,
                 "incremental repair must not settle more than a rebuild"
@@ -559,73 +505,18 @@ mod tests {
         topo.set_link_latency(link, 3.75).unwrap();
         maintainer.drift(&topo, link, &mut Vec::new());
         maintainer.fail_server(&topo, 2, &mut Vec::new());
-        let matrix = maintainer.matrix();
-        assert_eq!(DelayOracle::num_iot(&maintainer), matrix.num_iot());
-        assert_eq!(DelayOracle::num_servers(&maintainer), matrix.num_servers());
+        let matrix = maintainer.delay_matrix(&topo);
+        assert_eq!(matrix.num_iot(), topo.num_iot());
+        assert_eq!(matrix.num_servers(), topo.num_servers());
         for i in 0..matrix.num_iot() {
             for j in 0..matrix.num_servers() {
                 assert_eq!(
-                    DelayOracle::delay(&maintainer, i, j).to_bits(),
+                    maintainer.delay(&topo, i, j).to_bits(),
                     matrix.get(i, j).to_bits(),
                     "entry ({i}, {j})"
                 );
             }
         }
-        assert_eq!(&DelayOracle::materialize(&maintainer), matrix);
-    }
-
-    #[test]
-    fn scoped_columns_are_bitwise_equal_to_the_full_maintainer() {
-        let mut topo = topology();
-        let model = DelayModel::default();
-        let columns = [3usize, 1];
-        let mut full = DelayMaintainer::new(&topo, model.clone(), false);
-        let mut scoped = DelayMaintainer::new_scoped(&topo, model, false, &columns);
-        assert_eq!(scoped.matrix().num_servers(), columns.len());
-
-        let check = |full: &DelayMaintainer, scoped: &DelayMaintainer, what: &str| {
-            for (c, &j) in columns.iter().enumerate() {
-                assert_eq!(
-                    scoped.matrix().server_node(c),
-                    full.matrix().server_node(j),
-                    "{what}: column {c} node"
-                );
-                for i in 0..full.matrix().num_iot() {
-                    assert_eq!(
-                        scoped.matrix().get(i, c).to_bits(),
-                        full.matrix().get(i, j).to_bits(),
-                        "{what}: entry ({i}, {j})"
-                    );
-                }
-            }
-            assert!(
-                scoped
-                    .link_costs()
-                    .iter()
-                    .map(|c| c.to_bits())
-                    .eq(full.link_costs().iter().map(|c| c.to_bits())),
-                "{what}: link costs diverged"
-            );
-        };
-        check(&full, &scoped, "initial");
-
-        let link = topo.graph().link_id(2);
-        topo.set_link_latency(link, 6.5).unwrap();
-        full.drift(&topo, link, &mut Vec::new());
-        scoped.drift(&topo, link, &mut Vec::new());
-        check(&full, &scoped, "after drift");
-
-        // Server 3 is column 0 of the scoped maintainer.
-        full.fail_server(&topo, 3, &mut Vec::new());
-        scoped.fail_server(&topo, 0, &mut Vec::new());
-        assert!(scoped.is_failed(0));
-        assert!(scoped.matches_full_recompute(&topo));
-        check(&full, &scoped, "after failure");
-
-        full.recover_server(&topo, 3, &mut Vec::new());
-        scoped.recover_server(&topo, 0, &mut Vec::new());
-        assert!(scoped.matches_full_recompute(&topo));
-        check(&full, &scoped, "after recovery");
     }
 
     /// Every entry a step leaves out of its `changed` list keeps its
@@ -637,7 +528,7 @@ mod tests {
             let mut maintainer = DelayMaintainer::new(&topo, DelayModel::default(), full_mode);
             let link_count = topo.graph().link_count();
             for step in 0..12 {
-                let before = maintainer.matrix().clone();
+                let before = maintainer.delay_matrix(&topo);
                 let mut changed = Vec::new();
                 match step % 4 {
                     0 | 2 => {
@@ -652,7 +543,7 @@ mod tests {
                         maintainer.recover_server(&topo, 1, &mut changed);
                     }
                 }
-                let after = maintainer.matrix();
+                let after = maintainer.delay_matrix(&topo);
                 assert!(maintainer.matches_full_recompute(&topo), "step {step}");
                 let mut listed = vec![false; after.num_iot() * after.num_servers()];
                 for &(i, j) in &changed {

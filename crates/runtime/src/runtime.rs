@@ -1,13 +1,14 @@
 //! The online reconfiguration control plane.
 //!
 //! [`Runtime`] wires the pieces together: it ingests a [`Trace`]'s event
-//! stream, keeps the delay matrix current through a [`DelayMaintainer`],
-//! and drives the [`DynamicCluster`] — placing joining devices,
-//! evacuating failed servers with priority-aware shedding, and spending a
-//! bounded migration budget after every topology change to win back
-//! delay. Everything is deterministic: replaying the same trace with the
-//! same [`RuntimeConfig`] produces bit-identical assignments and
-//! [`CoreMetrics`], including across a snapshot/restore interruption.
+//! stream, keeps the cluster's delay matrix current through a
+//! [`DelayMaintainer`], and drives the [`DynamicCluster`] — placing
+//! joining devices, evacuating failed servers with priority-aware
+//! shedding, and spending a bounded migration budget after every
+//! topology change to win back delay. Everything is deterministic:
+//! replaying the same trace with the same [`RuntimeConfig`] produces
+//! bit-identical assignments and [`CoreMetrics`], including across a
+//! snapshot/restore interruption.
 
 use std::time::Instant;
 
@@ -210,7 +211,7 @@ impl Runtime {
             config.delay_model.clone(),
             config.full_recompute,
         );
-        if maintainer.matrix() != scenario.instance().delays() {
+        if maintainer.delay_matrix(scenario.topology()) != *scenario.instance().delays() {
             return Err(RuntimeError::InvalidConfig {
                 reason: "delay model does not reproduce the scenario's delay matrix".to_owned(),
             });
@@ -374,14 +375,22 @@ impl Runtime {
         self.metrics.core.full_equivalent_work.absorb(self.maintainer.full_rebuild_baseline());
     }
 
-    /// Copies the maintained matrix entries a repair rewrote into the
-    /// cluster's instance; every other entry already agrees.
+    /// Writes the entries a repair rewrote into the cluster's instance,
+    /// reading their values out of the maintainer's trees; every other
+    /// entry already agrees. Debug builds, and release builds under
+    /// `TACC_CHECK=1`, then check the whole instance against a read-out.
     fn push_delays(&mut self, changed: &[(usize, usize)]) {
-        let matrix = self.maintainer.matrix();
         for &(device, server) in changed {
+            let delay = self.maintainer.delay(&self.topology, device, server);
             self.cluster
-                .set_delay(device, server, matrix.get(device, server))
+                .set_delay(device, server, delay)
                 .expect("maintained delays are never NaN or negative");
+        }
+        if cfg!(debug_assertions) || crate::check::enabled() {
+            assert!(
+                *self.cluster.instance().delays() == self.maintainer.delay_matrix(&self.topology),
+                "patched delay matrix diverged from a full read-out of its trees"
+            );
         }
     }
 
@@ -719,10 +728,10 @@ impl Runtime {
     /// overloaded server, device conservation (assigned ⊕ shed ⊕
     /// unreachable ⊕ departed), assignments on alive servers at finite
     /// delay, the unreachable set agreeing with a recompute, and the
-    /// cluster seeing the maintained delay matrix — are cheap enough to
-    /// run per event. `deep` adds the expensive ones: every shortest-path
-    /// column re-derived from scratch, and a snapshot surviving a JSON
-    /// round-trip bit-for-bit.
+    /// cluster's delay matrix equal to a read-out of the maintainer's
+    /// trees — are cheap enough to run per event. `deep` adds the
+    /// expensive ones: every shortest-path column re-derived from
+    /// scratch, and a snapshot surviving a JSON round-trip bit-for-bit.
     ///
     /// [`Runtime::step`] runs this automatically (deep on a sampled
     /// cadence) when the `TACC_CHECK=1` environment switch is set; see
@@ -771,8 +780,8 @@ impl Runtime {
             }
         }
 
-        if self.cluster.instance().delays() != self.maintainer.matrix() {
-            return fail("cluster delay matrix lags the maintained matrix".to_owned());
+        if *self.cluster.instance().delays() != self.maintainer.delay_matrix(&self.topology) {
+            return fail("cluster delay matrix lags the maintainer's trees".to_owned());
         }
 
         if deep {
@@ -844,12 +853,15 @@ impl Runtime {
 
     /// Rebuilds a runtime from a snapshot plus the trace it was taken
     /// from (the trace supplies what the snapshot deliberately omits:
-    /// demands and capacities, which never change).
+    /// demands and capacities, which never change). The cluster's delay
+    /// matrix is read out of the restored trees.
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::InvalidSnapshot`] for version or shape
-    /// mismatches with the trace's scenario.
+    /// mismatches with the trace's scenario, and for maintainer arrays
+    /// that do not fit the snapshot's topology
+    /// ([`DelayMaintainer::shape_mismatches`]).
     pub fn restore(snapshot: RuntimeSnapshot, trace: &Trace) -> Result<Runtime, RuntimeError> {
         if snapshot.version != RuntimeSnapshot::FORMAT_VERSION {
             return Err(RuntimeError::InvalidSnapshot {
@@ -869,8 +881,12 @@ impl Runtime {
             }
         }
         let scenario = trace.scenario.build()?;
-        if snapshot.topology.num_iot() != scenario.topology().num_iot()
-            || snapshot.topology.num_servers() != scenario.topology().num_servers()
+        // Drift moves latencies only: the nodes and their roles are the
+        // scenario's, which keeps every tree read below in range.
+        let (snapped, built) = (&snapshot.topology, scenario.topology());
+        if snapped.iot_nodes() != built.iot_nodes()
+            || snapped.server_nodes() != built.server_nodes()
+            || snapped.graph().node_count() != built.graph().node_count()
         {
             return Err(RuntimeError::InvalidSnapshot {
                 reason: "snapshot topology does not match the trace's scenario".to_owned(),
@@ -905,7 +921,22 @@ impl Runtime {
                 reason: "snapshot unreachable set does not match the scenario".to_owned(),
             });
         }
-        let instance = scenario.instance().with_delays(snapshot.maintainer.matrix().clone())?;
+        // The cluster's matrix is read out of the trees, so their shape
+        // must fit the topology first; quarantine reports the same findings.
+        if let Some((what, found, expected)) =
+            snapshot.maintainer.shape_mismatches(&snapshot.topology).first()
+        {
+            return Err(RuntimeError::InvalidSnapshot {
+                reason: format!("{what} has length {found}, expected {expected}"),
+            });
+        }
+        let mut instance = scenario.instance().clone();
+        for device in 0..n {
+            for server in 0..instance.num_servers() {
+                let delay = snapshot.maintainer.delay(&snapshot.topology, device, server);
+                instance.set_delay(device, server, delay)?;
+            }
+        }
         let cluster =
             DynamicCluster::from_partial(instance, snapshot.assignment, snapshot.migrations)?;
         Ok(Runtime {

@@ -2,11 +2,14 @@
 //!
 //! A [`RuntimeSnapshot`] captures everything [`crate::Runtime`] needs to
 //! resume a trace replay bit-for-bit: the configuration, the drifted
-//! topology, the delay-maintenance state (trees, disabled links,
-//! failures), the assignment, the degradation sets (wanted and
-//! unreachable devices), and the deterministic metrics. Demands and
-//! capacities are deliberately *not* stored — they never change, so the
-//! restore path re-derives them from the trace's scenario.
+//! topology, the delay-maintenance state (per-server shortest-path
+//! trees, link costs, disabled links, failures), the assignment, the
+//! degradation sets (wanted and unreachable devices), and the
+//! deterministic metrics. Derived data is deliberately *not* stored:
+//! demands and capacities never change, so the restore path re-derives
+//! them from the trace's scenario, and the delay matrix is read out of
+//! the restored trees. A snapshot that still carries the maintainer's
+//! old `matrix` member restores the same way; the member is ignored.
 //!
 //! Format version 2 adds the trace scenario (so restore can reject a
 //! snapshot replayed against the wrong trace) and the unreachable set
@@ -39,8 +42,9 @@ pub struct RuntimeSnapshot {
     pub config: RuntimeConfig,
     /// The topology including all applied latency drifts.
     pub topology: Topology,
-    /// Delay-maintenance state: shortest-path trees, link disable
-    /// refcounts, failed servers and the savings baseline.
+    /// Delay-maintenance state: shortest-path trees, link costs, link
+    /// disable refcounts, failed servers and the savings baseline. The
+    /// delay matrix is read out of the trees on restore.
     pub maintainer: DelayMaintainer,
     /// The device → server assignment at the snapshot point.
     pub assignment: Assignment,

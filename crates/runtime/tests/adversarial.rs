@@ -3,6 +3,7 @@
 //! degradation, and the typed-error contract on every malformed-input
 //! path (no panics, ever).
 
+use serde_json::Value;
 use tacc_runtime::{DeviceState, Runtime, RuntimeConfig, RuntimeError, RuntimeSnapshot};
 use tacc_workload::{TimedEvent, Trace, TraceEvent, TraceScenario};
 
@@ -203,6 +204,64 @@ fn snapshot_cursor_past_the_trace_is_a_typed_error() {
     let err = Runtime::restore(snapshot, &truncated).unwrap_err();
     let RuntimeError::InvalidSnapshot { reason } = &err else { panic!("got {err:?}") };
     assert!(reason.contains("cursor"), "got: {reason}");
+}
+
+/// One member of a JSON object, for editing in place.
+fn member<'a>(value: &'a mut Value, key: &str) -> &'a mut Value {
+    let Value::Object(fields) = value else { panic!("`{key}` sits in an object") };
+    &mut fields.iter_mut().find(|(k, _)| k == key).expect("member present").1
+}
+
+/// The distances of a snapshot's first shortest-path tree.
+fn first_tree_distances(value: &mut Value) -> &mut Vec<Value> {
+    let Value::Array(trees) = member(member(value, "maintainer"), "trees") else {
+        panic!("maintainer.trees is an array")
+    };
+    let Value::Array(dist) = member(&mut trees[0], "dist") else { panic!("dist is an array") };
+    dist
+}
+
+/// Restore reads the cluster's delays out of the snapshot's trees, so a
+/// snapshot that no quarantine saw gets a typed error, not a panic, when
+/// a tree does not fit the topology, holds a negative delay, or the
+/// topology's nodes are not the scenario's.
+#[test]
+fn restore_refuses_trees_it_cannot_read() {
+    let trace = total_outage_trace();
+    let mut rt = Runtime::from_trace(&trace, RuntimeConfig::default()).unwrap();
+    for index in 0..2 {
+        rt.step(index, &trace.events[index]).unwrap();
+    }
+    let snapshot: Value = serde_json::from_str(&rt.snapshot().to_json()).unwrap();
+    let restore = |edit: &dyn Fn(&mut Value)| {
+        let mut value = snapshot.clone();
+        edit(&mut value);
+        Runtime::restore(serde_json::from_value(&value).unwrap(), &trace).unwrap_err()
+    };
+    let mut probe = snapshot.clone();
+    let Value::Array(iot) = member(member(&mut probe, "topology"), "iot") else {
+        panic!("topology.iot is an array")
+    };
+    let &Value::UInt(device_node) = &iot[0] else { panic!("node ids are unsigned") };
+    let device_node = usize::try_from(device_node).unwrap();
+
+    let err = restore(&|value| {
+        first_tree_distances(value).pop();
+    });
+    let RuntimeError::InvalidSnapshot { reason } = &err else { panic!("got {err:?}") };
+    assert!(reason.contains("maintainer tree distances has length"), "got: {reason}");
+
+    let err = restore(&|value| first_tree_distances(value)[device_node] = Value::Float(-1.0));
+    assert!(matches!(err, RuntimeError::Gap(_)), "got {err:?}");
+
+    let err = restore(&|value| {
+        let Value::Array(iot) = member(member(value, "topology"), "iot") else {
+            panic!("topology.iot is an array")
+        };
+        iot[0] = Value::UInt(1_000_000);
+    });
+    let RuntimeError::InvalidSnapshot { reason } = &err else { panic!("got {err:?}") };
+    assert!(reason.contains("topology does not match"), "got: {reason}");
 }
 
 #[test]

@@ -8,16 +8,18 @@
 //!   behavior (matrix, assignment, event/migration accounting) as
 //!   incremental mode — they differ only in repair work performed.
 //!   Stepped side by side, the two agree after every single event on
-//!   the maintained matrix, the cluster's patched copy of it and the
-//!   assignment.
+//!   the cluster's delay matrix and the assignment, and each cluster
+//!   matrix equals a read-out of its own runtime's trees.
 //! - Interrupting a replay with snapshot → JSON → restore at any cut
-//!   point changes nothing: the resumed run ends byte-identical to an
-//!   uninterrupted one.
+//!   point changes nothing: the restored cluster matrix, read out of
+//!   the restored trees, is bit for bit the interrupted one's, and the
+//!   resumed run ends byte-identical to an uninterrupted one.
 //! - Traces survive a JSON round trip unchanged.
 
 use proptest::prelude::*;
 
 use tacc_runtime::{Runtime, RuntimeConfig, RuntimeSnapshot};
+use tacc_topology::DelayMatrix;
 use tacc_workload::{TopologyFamily, Trace, TraceGenerator, TraceScenario};
 
 /// Strategy producing a small trace on a random topology family, plus a
@@ -51,6 +53,16 @@ fn deterministic_report(runtime: &Runtime) -> String {
     serde_json::to_string(&runtime.report_json(false)).expect("report serializes")
 }
 
+/// The runtime's one delay matrix: its cluster's instance.
+fn delays(runtime: &Runtime) -> &DelayMatrix {
+    runtime.cluster().instance().delays()
+}
+
+/// The same matrix read out of the runtime's shortest-path trees.
+fn read_out(runtime: &Runtime) -> DelayMatrix {
+    runtime.maintainer().delay_matrix(runtime.topology())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -72,7 +84,9 @@ proptest! {
 
         let mut b = Runtime::from_trace(&trace, full).expect("runtime");
         b.run(&trace).expect("replay");
-        prop_assert_eq!(a.maintainer().matrix(), b.maintainer().matrix());
+        prop_assert_eq!(delays(&a), delays(&b));
+        prop_assert_eq!(delays(&a), &read_out(&a));
+        prop_assert_eq!(delays(&b), &read_out(&b));
         prop_assert_eq!(a.cluster().assignment(), b.cluster().assignment());
         let (ca, cb) = (&a.metrics().core, &b.metrics().core);
         prop_assert_eq!(ca.events, cb.events);
@@ -85,7 +99,7 @@ proptest! {
     /// An incremental and a full-recompute runtime stepped side by side
     /// through a drift-heavy trace agree after every event, on all six
     /// topology families: the incremental runtime patches only the
-    /// entries its repairs touched, the full one re-reads every entry.
+    /// entries its repairs touched, the full one rewrites every entry.
     #[test]
     fn patched_delays_match_full_recompute_after_every_event(
         num_iot in 10usize..=25,
@@ -108,14 +122,9 @@ proptest! {
                 a.step(index, timed).expect("incremental step");
                 b.step(index, timed).expect("full step");
                 let what = format!("{family:?}, event {index} ({})", timed.event.kind_name());
-                prop_assert_eq!(a.maintainer().matrix(), b.maintainer().matrix(), "{}", what);
-                prop_assert_eq!(a.cluster().instance().delays(), a.maintainer().matrix(), "{}", what);
-                prop_assert_eq!(
-                    a.cluster().instance().delays(),
-                    b.cluster().instance().delays(),
-                    "{}",
-                    what
-                );
+                prop_assert_eq!(delays(&a), delays(&b), "{}", what);
+                prop_assert_eq!(delays(&a), &read_out(&a), "{}", what);
+                prop_assert_eq!(delays(&b), &read_out(&b), "{}", what);
                 prop_assert_eq!(a.cluster().assignment(), b.cluster().assignment(), "{}", what);
             }
         }
@@ -139,6 +148,9 @@ proptest! {
         let json = first.snapshot().to_json();
         let snapshot = RuntimeSnapshot::from_json(&json).expect("snapshot parses back");
         let mut resumed = Runtime::restore(snapshot, &trace).expect("restore");
+        let bits = |m: &DelayMatrix| m.iter().map(f64::to_bits).collect::<Vec<u64>>();
+        prop_assert_eq!(delays(&resumed), delays(&first));
+        prop_assert_eq!(bits(delays(&resumed)), bits(delays(&first)));
         resumed.run(&trace).expect("resume replay");
 
         prop_assert_eq!(deterministic_report(&whole), deterministic_report(&resumed));

@@ -9,7 +9,7 @@ use tacc_guard::{Budget, Supervisor, SupervisorConfig};
 use tacc_obs::StreamWriter;
 use tacc_proto::{ErrorCode, QueryState, Response};
 use tacc_runtime::{DeviceState, Runtime, RuntimeConfig};
-use tacc_topology::{AltOracle, DelayOracle};
+use tacc_topology::AltOracle;
 use tacc_workload::{event_faults, TimedEvent, Trace, TraceEvent, TraceScenario};
 
 use std::path::Path;
@@ -27,7 +27,7 @@ pub(crate) fn failpoint(name: &'static str) -> Result<(), ServeError> {
 }
 
 /// Landmarks for the brownout ALT oracle: enough for useful bounds,
-/// cheap enough (`ALT_LANDMARKS + 1` core SSSP sweeps) that building it
+/// cheap enough (one core SSSP sweep per landmark) that building it
 /// under pressure is still far below one exact-matrix refresh.
 const ALT_LANDMARKS: usize = 4;
 
@@ -52,8 +52,6 @@ pub struct Session {
     applied_since_snapshot: u64,
     solves: u64,
     pushes: u64,
-    /// Cached Solve sub-instance; see [`SubCache`].
-    sub_cache: Option<SubCache>,
     /// The brownout ladder; fed one observation per admission decision.
     surge: SurgeController,
     /// Sequence number of the most recently *accepted* sequenced push
@@ -63,28 +61,6 @@ pub struct Session {
     last_seq: u64,
     /// The acknowledgement recorded for [`Session::last_seq`].
     last_ack: Option<Response>,
-}
-
-/// The (active devices × alive servers) sub-instance a `Solve` query
-/// runs against, cached between queries. The runtime cursor is the
-/// cache key: `solve` flushes first, and every state change goes
-/// through [`Runtime::step`] (which advances the cursor), so an
-/// unchanged cursor means an unchanged sub-instance — repeated Solve
-/// queries between events stop re-materializing the delay sub-matrix.
-/// Reuse and rebuild are counted on the `fast.oracle_hits` /
-/// `fast.oracle_refines` obs counters. The `alt` flag is part of the
-/// key: exact and ALT-bound sub-instances differ, so a brownout
-/// transition between two solves forces a rebuild.
-#[derive(Debug)]
-struct SubCache {
-    cursor: u64,
-    /// Whether the rows hold ALT bounds (brownout L2+) or exact delays.
-    alt: bool,
-    /// Active device indices, in instance order (sub-instance rows).
-    active: Vec<usize>,
-    /// Alive server indices, in instance order (sub-instance columns).
-    alive: Vec<usize>,
-    sub: GapInstance,
 }
 
 /// The deterministic session summary behind the `Stats` request.
@@ -354,7 +330,6 @@ impl Session {
             applied_since_snapshot: 0,
             solves: 0,
             pushes: 0,
-            sub_cache: None,
             surge: SurgeController::new(cfg.surge.clone()),
             last_seq: 0,
             last_ack: None,
@@ -426,7 +401,6 @@ impl Session {
             applied_since_snapshot: 0,
             solves: 0,
             pushes: 0,
-            sub_cache: None,
             surge: SurgeController::new(cfg.surge.clone()),
             last_seq,
             last_ack,
@@ -705,63 +679,47 @@ impl Session {
         if alt {
             tacc_obs::counter_add("surge.alt_solves", 1);
         }
+        let instance = self.runtime.cluster().instance();
+        let active: Vec<usize> =
+            (0..instance.num_devices()).filter(|&d| self.runtime.cluster().is_active(d)).collect();
+        let alive: Vec<usize> = (0..instance.num_servers())
+            .filter(|&j| !self.runtime.maintainer().is_failed(j))
+            .collect();
+        if active.is_empty() || alive.is_empty() {
+            return Ok(Response::Error {
+                code: ErrorCode::BadRequest,
+                message: "nothing to solve: no active devices or no alive servers".to_owned(),
+            });
+        }
         if self.cfg.zones >= 2 && !alt {
             // Zone-decomposed path; under L2+ brownout the flat
             // AltOracle-bounded path below stays in charge (its budget
             // is already ÷16 — decomposition buys nothing there).
-            return self.solve_zoned(units);
+            return self.solve_zoned(units, &active, &alive);
         }
-
-        let cursor = self.runtime.cursor();
-        let cached = self.sub_cache.as_ref().is_some_and(|c| c.cursor == cursor && c.alt == alt);
-        if cached {
-            tacc_obs::counter_add("fast.oracle_hits", 1);
-        } else {
-            tacc_obs::counter_add("fast.oracle_refines", 1);
-            let instance = self.runtime.cluster().instance();
-            let active: Vec<usize> = (0..instance.num_devices())
-                .filter(|&d| self.runtime.cluster().is_active(d))
-                .collect();
-            let alive: Vec<usize> = (0..instance.num_servers())
-                .filter(|&j| !self.runtime.maintainer().is_failed(j))
-                .collect();
-            if active.is_empty() || alive.is_empty() {
-                self.sub_cache = None;
-                return Ok(Response::Error {
-                    code: ErrorCode::BadRequest,
-                    message: "nothing to solve: no active devices or no alive servers".to_owned(),
-                });
-            }
-            let rows: Vec<Vec<f64>> = if alt {
-                let oracle = AltOracle::new(
-                    self.runtime.topology(),
-                    self.runtime.maintainer().model(),
-                    ALT_LANDMARKS,
-                );
-                active
-                    .iter()
-                    .map(|&d| alive.iter().map(|&j| oracle.delay_bound(d, j)).collect())
-                    .collect()
-            } else {
-                active
-                    .iter()
-                    .map(|&d| alive.iter().map(|&j| instance.delay(d, j)).collect())
-                    .collect()
-            };
-            let demands: Vec<f64> = active
+        let rows: Vec<Vec<f64>> = if alt {
+            let oracle = AltOracle::new(
+                self.runtime.topology(),
+                self.runtime.maintainer().model(),
+                ALT_LANDMARKS,
+            );
+            active
                 .iter()
-                .flat_map(|&d| alive.iter().map(move |&j| instance.demand(d, j)))
-                .collect();
-            let capacities: Vec<f64> = alive.iter().map(|&j| instance.capacity(j)).collect();
-            let sub = GapInstance::builder(tacc_topology::DelayMatrix::from_rows(rows))
-                .demand_matrix(demands)
-                .capacities(capacities)
-                .build()
-                .map_err(|e| ServeError::state(format!("sub-instance: {e}")))?;
-            self.sub_cache = Some(SubCache { cursor, alt, active, alive, sub });
-        }
-        let cache = self.sub_cache.as_ref().expect("cache populated above");
-        let (active, alive, sub) = (&cache.active, &cache.alive, &cache.sub);
+                .map(|&d| alive.iter().map(|&j| oracle.delay_bound(d, j)).collect())
+                .collect()
+        } else {
+            active.iter().map(|&d| alive.iter().map(|&j| instance.delay(d, j)).collect()).collect()
+        };
+        let demands: Vec<f64> = active
+            .iter()
+            .flat_map(|&d| alive.iter().map(move |&j| instance.demand(d, j)))
+            .collect();
+        let capacities: Vec<f64> = alive.iter().map(|&j| instance.capacity(j)).collect();
+        let sub = GapInstance::builder(tacc_topology::DelayMatrix::from_rows(rows))
+            .demand_matrix(demands)
+            .capacities(capacities)
+            .build()
+            .map_err(|e| ServeError::state(format!("sub-instance: {e}")))?;
 
         self.solves += 1;
         let seed = self
@@ -774,7 +732,7 @@ impl Session {
         let primary = algorithm.anytime_solver(seed).expect("validated at session start");
 
         let budget = Budget::units(units);
-        let result = self.supervisor.supervise(primary.as_ref(), sub, &budget);
+        let result = self.supervisor.supervise(primary.as_ref(), &sub, &budget);
         let (solution, guard) = match result {
             Ok(answer) => answer,
             Err(e) => {
@@ -823,25 +781,19 @@ impl Session {
     /// the device-order delay sum after border refinement, degradation
     /// is the worst any zone reported. Read-only on session state,
     /// like the flat path.
-    fn solve_zoned(&mut self, units: u64) -> Result<Response, ServeError> {
+    fn solve_zoned(
+        &mut self,
+        units: u64,
+        active: &[usize],
+        alive: &[usize],
+    ) -> Result<Response, ServeError> {
         let instance = self.runtime.cluster().instance();
-        let active: Vec<usize> =
-            (0..instance.num_devices()).filter(|&d| self.runtime.cluster().is_active(d)).collect();
-        let alive: Vec<usize> = (0..instance.num_servers())
-            .filter(|&j| !self.runtime.maintainer().is_failed(j))
-            .collect();
-        if active.is_empty() || alive.is_empty() {
-            return Ok(Response::Error {
-                code: ErrorCode::BadRequest,
-                message: "nothing to solve: no active devices or no alive servers".to_owned(),
-            });
-        }
         let topology = self.runtime.topology();
         let capacities: Vec<f64> = alive.iter().map(|&j| instance.capacity(j)).collect();
         let layout = ZoneLayout::build_scoped(
             topology,
             self.runtime.maintainer().link_costs(),
-            &alive,
+            alive,
             &capacities,
             self.cfg.zones,
         );
@@ -1040,55 +992,4 @@ fn open_stream(
     )
     .map_err(|e| ServeError::io("creating obs stream", &e))?;
     Ok(Some(stream))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use tacc_runtime::ReassignPolicy;
-    use tacc_workload::{TraceGenerator, TraceScenario};
-
-    fn session_with_trace(num_events: usize) -> (Session, Vec<TimedEvent>) {
-        let scenario = TraceScenario {
-            num_iot: 20,
-            num_servers: 4,
-            load_factor: 0.6,
-            ..TraceScenario::default()
-        };
-        let trace = TraceGenerator::new(scenario).num_events(num_events).generate(9).unwrap();
-        let shell = Trace { events: Vec::new(), ..trace.clone() };
-        let config =
-            RuntimeConfig { policy: ReassignPolicy::Greedy, seed: 3, ..RuntimeConfig::default() };
-        let session = Session::start(shell, config, &ServeConfig::default()).unwrap();
-        (session, trace.events)
-    }
-
-    #[test]
-    fn solve_reuses_the_sub_instance_while_the_cursor_is_unchanged() {
-        let (mut session, events) = session_with_trace(60);
-        session.push(events[..30].to_vec(), 0).unwrap();
-        session.flush().unwrap();
-
-        assert!(session.sub_cache.is_none());
-        let first = session.solve(200).unwrap();
-        assert!(matches!(first, Response::Solution { .. }));
-        let cursor = session.sub_cache.as_ref().expect("solve populates the cache").cursor;
-        assert_eq!(cursor, session.runtime.cursor());
-
-        // Same cursor: the cached sub-instance is reused, not rebuilt.
-        let ptr_before = std::ptr::from_ref(&session.sub_cache.as_ref().unwrap().sub);
-        session.solve(200).unwrap();
-        let cache = session.sub_cache.as_ref().unwrap();
-        assert_eq!(ptr_before, std::ptr::from_ref(&cache.sub), "cache entry survives");
-
-        // New events move the cursor: the next solve rebuilds.
-        session.push(events[30..].to_vec(), 0).unwrap();
-        session.flush().unwrap();
-        session.solve(200).unwrap();
-        let cache = session.sub_cache.as_ref().unwrap();
-        assert_eq!(cache.cursor, session.runtime.cursor());
-        assert!(cache.cursor > cursor);
-        assert_eq!(cache.active.len(), cache.sub.num_devices());
-        assert_eq!(cache.alive.len(), cache.sub.num_servers());
-    }
 }

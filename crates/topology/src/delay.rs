@@ -170,14 +170,6 @@ impl DelayMatrix {
         self.num_servers
     }
 
-    /// The lengths the matrix stores: `(delays, IoT node ids, server
-    /// node ids)`. Every constructor makes them `num_iot × num_servers`,
-    /// `num_iot` and `num_servers`; only a deserialized matrix can
-    /// disagree, which is what an input quarantine looks for.
-    pub fn stored_lengths(&self) -> (usize, usize, usize) {
-        (self.data.len(), self.iot_nodes.len(), self.server_nodes.len())
-    }
-
     /// Delay from IoT device `iot` to edge server `server`, in milliseconds.
     ///
     /// # Panics

@@ -79,5 +79,5 @@ pub use compress::CompressedCore;
 pub use delay::{DelayMatrix, DelayModel};
 pub use error::TopologyError;
 pub use graph::{Graph, Link, LinkId, Neighbor, Node, NodeId, NodeKind, Point};
-pub use oracle::{AltOracle, DelayOracle};
+pub use oracle::AltOracle;
 pub use topology::Topology;

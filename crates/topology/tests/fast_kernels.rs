@@ -1,11 +1,12 @@
 //! Property tests for the fast-path kernels built on the CSR bucket
-//! queue: the leaf-compressed core and the ALT delay oracle. Both carry
-//! a **bit-for-bit** contract against the adjacency-list Dijkstra
-//! reference — not a tolerance — across every topology-generator
-//! family, because they are drop-in replacements on paths whose outputs
-//! are pinned byte-identical (delay matrices, obs streams, snapshots).
-//! The bucket queue is checked here against the CSR heap loop and in
-//! `par_equivalence.rs` against the adjacency-list Dijkstra.
+//! queue: the leaf-compressed core and the ALT delay oracle. The core
+//! carries a **bit-for-bit** contract against the adjacency-list
+//! Dijkstra reference — not a tolerance — across every
+//! topology-generator family, because it is a drop-in replacement on
+//! paths whose outputs are pinned byte-identical (delay matrices, obs
+//! streams, snapshots); the oracle's bounds must never exceed the exact
+//! delay. The bucket queue is checked here against the CSR heap loop
+//! and in `par_equivalence.rs` against the adjacency-list Dijkstra.
 
 mod common;
 
@@ -14,7 +15,7 @@ use proptest::prelude::*;
 use common::family_topology;
 use tacc_topology::csr::{CsrGraph, SsspScratch};
 use tacc_topology::shortest_path::dijkstra;
-use tacc_topology::{AltOracle, CompressedCore, DelayModel, DelayOracle};
+use tacc_topology::{AltOracle, CompressedCore, DelayModel};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -80,9 +81,8 @@ proptest! {
         }
     }
 
-    /// The ALT oracle's lower bound never exceeds the exact delay, and
-    /// lazy refinement converges to the materialized matrix bit for
-    /// bit, for every family.
+    /// The ALT oracle's lower bound never exceeds the exact delay, for
+    /// every family.
     #[test]
     fn alt_oracle_bounds_are_admissible_and_refine_to_the_matrix(
         family in 0usize..6,
@@ -105,18 +105,5 @@ proptest! {
                 );
             }
         }
-        for i in 0..matrix.num_iot() {
-            for j in 0..matrix.num_servers() {
-                let exact = oracle.delay(i, j);
-                prop_assert!(
-                    exact.to_bits() == matrix.get(i, j).to_bits(),
-                    "family={family} ({i},{j}): refined {exact} vs matrix {}",
-                    matrix.get(i, j)
-                );
-                // Once refined, the bound *is* the exact delay.
-                prop_assert!(oracle.delay_bound(i, j).to_bits() == exact.to_bits());
-            }
-        }
-        prop_assert_eq!(oracle.refined_columns(), matrix.num_servers());
     }
 }
