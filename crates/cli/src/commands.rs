@@ -15,7 +15,7 @@ use tacc_guard::{validate, Budget, QuarantineReport, Supervisor, SupervisorConfi
 use tacc_runtime::{ReassignPolicy, Runtime, RuntimeConfig, RuntimeSnapshot};
 use tacc_zone::{dense_solve, RouterConfig, ZoneLayout, ZoneRouting, ZonedSolution};
 
-use crate::args::Args;
+use crate::args::{Args, Flag, Spec};
 
 /// Top-level usage text.
 pub const USAGE: &str = "\
@@ -36,18 +36,23 @@ USAGE:
                              phase profile and metric registry
   tacc algorithms            list algorithm names
   tacc families              list topology families
+  tacc <command> --help      print this text
 
-OPTIONS (all subcommands):
+Each command takes only the flags listed for it below; any other flag is
+a usage error.
+
+SCENARIO OPTIONS (solve, compare, simulate, topology, obs-report; gen-trace
+and chaos take all but --demand):
   --devices N        IoT devices                [default 100]
   --servers M        edge servers               [default 10]
   --load RHO         target load factor         [default 0.7]
   --family NAME      topology family            [default random-geometric]
   --demand MODEL     uniform | zipf | lognormal [default uniform]
   --seed S           scenario + solver seed     [default 42]
+
+solve / simulate:
   --algorithm NAME   solver (see `tacc algorithms`) [default q-learning]
-  --json             machine-readable output (solve/simulate)
-  --strict-inputs    escalate advisory quarantine findings on loaded
-                     traces/snapshots to hard errors
+  --json             machine-readable output
 
 solve only:
   --budget N         anytime work budget (episodes / device scans / steps /
@@ -93,6 +98,7 @@ gen-trace only:
 
 run-trace only:
   --trace FILE       trace to replay (required)
+  --seed S           runtime seed               [default 42]
   --policy NAME      greedy | q-learning        [default greedy]
   --budget N         migrations per reconfiguration pass [default 4]
   --refresh-every N  policy re-solve cadence    [default 0 = never]
@@ -106,6 +112,8 @@ run-trace only:
   --strict           with --recover: reject corrupt mid-journal records
                      instead of skipping and reporting them
   --timing           include wall-clock latency histograms in the report
+  --strict-inputs    escalate advisory quarantine findings on the loaded
+                     trace and snapshot to hard errors (client --drive too)
 
 solve / run-trace:
   --obs-out FILE     write the deterministic observability stream (JSONL,
@@ -148,6 +156,8 @@ serve only:
   --max-pending N    admission-control backlog cap          [default 4096]
   --query-budget N   default Solve work budget (units)      [default 2000]
   --snapshot-every N journal snapshot cadence (events)      [default 256]
+  --read-timeout-ms T  idle wait per read on a connection before the
+                     daemon re-checks for a termination signal [default 100]
   --no-brownout      pin the overload ladder at `normal` (admission
                      control and RetryAfter hints stay active)
   --high-water R     backlog ratio counting as pressure     [default 0.75]
@@ -182,7 +192,9 @@ client only (needs --connect ADDR, --uds PATH or --failover LIST):
   --burst K          events per push while driving          [default 64]
   --query-every N    device query every N bursts (0 = off)  [default 5]
   --solve-every N    budgeted solve every N bursts (0 = off) [default 0]
-  --budget N         work budget for those solves (0 = server default)
+  --budget N         work budget for those solves (0 = server default);
+                     --drive also takes the run-trace policy flags for the
+                     session's runtime, so this also sets its migration budget
   --hello | --promote | --stats | --metrics | --snapshot | --flush | --shutdown
                      one-shot requests (run in that order, after --drive
                      when both are given); each response prints as JSON.
@@ -201,6 +213,194 @@ ENVIRONMENT:
                      `name@occurrence:kind` specs (kind: io | enospc |
                      short | reset), e.g. `journal.fsync@2:enospc`.
                      Unset, every probe is a single relaxed atomic load.";
+
+/// The scenario shape: what `solve`, `compare`, `simulate`, `topology`,
+/// `gen-trace` and `chaos` build their scenario from.
+const SCENARIO: &[Flag] = &[
+    Flag::value("devices"),
+    Flag::value("servers"),
+    Flag::value("load"),
+    Flag::value("family"),
+    Flag::value("seed"),
+];
+
+/// The demand model, which only a solved scenario has (a trace does not).
+const DEMAND: &[Flag] = &[Flag::value("demand")];
+
+/// What [`solve_output`] reads besides the scenario.
+const SOLVE_ONLY: &[Flag] = &[
+    Flag::value("algorithm"),
+    Flag::value("budget"),
+    Flag::value("zones"),
+    Flag::switch("json"),
+    Flag::value("obs-out"),
+];
+
+/// What [`gen_trace_json`] reads besides the scenario.
+const GEN_TRACE_ONLY: &[Flag] = &[
+    Flag::value("events"),
+    Flag::value("mean-gap-ms"),
+    Flag::value("out"),
+    Flag::switch("surge"),
+    Flag::value("horizon-ms"),
+    Flag::value("tick-ms"),
+    Flag::value("base-rate"),
+    Flag::value("diurnal-amplitude"),
+    Flag::value("diurnal-period-ms"),
+    Flag::value("flash-crowds"),
+    Flag::value("flash-magnitude"),
+    Flag::value("flash-width-ms"),
+    Flag::value("mobility-rate"),
+    Flag::value("chaos-overlay"),
+    Flag::value("burst"),
+];
+
+/// What [`runtime_config_from`] reads.
+const RUNTIME: &[Flag] = &[
+    Flag::value("policy"),
+    Flag::value("seed"),
+    Flag::value("budget"),
+    Flag::value("refresh-every"),
+    Flag::switch("full-recompute"),
+];
+
+/// What [`run_trace_report`] reads besides the runtime config.
+const RUN_TRACE_ONLY: &[Flag] = &[
+    Flag::value("trace"),
+    Flag::value("obs-out"),
+    Flag::value("journal"),
+    Flag::switch("recover"),
+    Flag::switch("strict"),
+    Flag::value("resume"),
+    Flag::switch("strict-inputs"),
+    Flag::value("snapshot-every"),
+    Flag::value("stop-after"),
+    Flag::value("snapshot-out"),
+    Flag::switch("timing"),
+];
+
+const SOLVE: Spec = Spec { command: "solve", groups: &[SCENARIO, DEMAND, SOLVE_ONLY] };
+
+const COMPARE: Spec = Spec { command: "compare", groups: &[SCENARIO, DEMAND] };
+
+const SIMULATE: Spec = Spec {
+    command: "simulate",
+    groups: &[
+        SCENARIO,
+        DEMAND,
+        &[
+            Flag::value("algorithm"),
+            Flag::value("duration-ms"),
+            Flag::value("deadline-ms"),
+            Flag::switch("round-trip"),
+            Flag::switch("json"),
+        ],
+    ],
+};
+
+const TOPOLOGY: Spec = Spec { command: "topology", groups: &[SCENARIO, DEMAND] };
+
+const GEN_TRACE: Spec = Spec { command: "gen-trace", groups: &[SCENARIO, GEN_TRACE_ONLY] };
+
+const RUN_TRACE: Spec = Spec { command: "run-trace", groups: &[RUNTIME, RUN_TRACE_ONLY] };
+
+const CHAOS: Spec = Spec {
+    command: "chaos",
+    groups: &[
+        SCENARIO,
+        RUNTIME,
+        &[
+            Flag::value("profile"),
+            Flag::value("events"),
+            Flag::value("mean-gap-ms"),
+            Flag::value("burst"),
+            Flag::value("crash-every"),
+            Flag::value("snapshot-every"),
+            Flag::value("journal"),
+            Flag::switch("corrupt-records"),
+            Flag::value("truncate-at-byte"),
+        ],
+    ],
+};
+
+const SERVE: Spec = Spec {
+    command: "serve",
+    groups: &[&[
+        Flag::value("listen"),
+        Flag::value("uds"),
+        Flag::value("journal"),
+        Flag::switch("recover"),
+        Flag::value("obs-out"),
+        Flag::value("algorithm"),
+        Flag::value("batch-size"),
+        Flag::value("max-pending"),
+        Flag::value("query-budget"),
+        Flag::value("snapshot-every"),
+        Flag::value("read-timeout-ms"),
+        Flag::value("zones"),
+        Flag::switch("no-brownout"),
+        Flag::value("high-water"),
+        Flag::value("low-water"),
+        Flag::value("recover-after"),
+        Flag::switch("standby"),
+        Flag::value("replicate-to"),
+    ]],
+};
+
+const CLIENT: Spec = Spec {
+    command: "client",
+    groups: &[
+        &[
+            Flag::value("connect"),
+            Flag::value("uds"),
+            Flag::value("failover"),
+            Flag::value("client-timeout-ms"),
+            Flag::value("retry"),
+            Flag::value("retry-base-ms"),
+            Flag::value("retry-max-ms"),
+            Flag::value("retry-seed"),
+            Flag::value("drive"),
+            Flag::switch("strict-inputs"),
+            Flag::value("burst"),
+            Flag::value("query-every"),
+            Flag::value("solve-every"),
+            Flag::value("budget"),
+            Flag::switch("hello"),
+            Flag::switch("promote"),
+            Flag::value("query"),
+            Flag::value("solve"),
+            Flag::switch("flush"),
+            Flag::switch("stats"),
+            Flag::switch("metrics"),
+            Flag::switch("snapshot"),
+            Flag::switch("shutdown"),
+        ],
+        // `--drive` initializes the session with the runtime config.
+        RUNTIME,
+    ],
+};
+
+const BENCH_REPORT: Spec = Spec {
+    command: "bench-report",
+    groups: &[&[Flag::value("out"), Flag::value("reps"), Flag::switch("quick")]],
+};
+
+const OBS_REPORT: Spec = Spec {
+    command: "obs-report",
+    groups: &[
+        &[Flag::switch("solve")],
+        SCENARIO,
+        DEMAND,
+        SOLVE_ONLY,
+        GEN_TRACE_ONLY,
+        RUNTIME,
+        RUN_TRACE_ONLY,
+    ],
+};
+
+const ALGORITHMS: Spec = Spec { command: "algorithms", groups: &[] };
+
+const FAMILIES: Spec = Spec { command: "families", groups: &[] };
 
 fn family_by_name(name: &str) -> Result<TopologyFamily, String> {
     TopologyFamily::ALL
@@ -270,7 +470,7 @@ fn budget_from(args: &Args) -> Result<Option<u64>, String> {
 
 /// `tacc solve`
 pub fn solve(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, &SOLVE)?;
     println!("{}", solve_output(&args)?);
     Ok(())
 }
@@ -584,7 +784,7 @@ fn write_solve_stream(
 
 /// `tacc compare`
 pub fn compare(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, &COMPARE)?;
     let (scenario, seed) = scenario_from(&args)?;
     println!(
         "{:<22} {:>12} {:>9} {:>9} {:>12}",
@@ -610,7 +810,7 @@ pub fn compare(argv: &[String]) -> Result<(), String> {
 
 /// `tacc simulate`
 pub fn simulate(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, &SIMULATE)?;
     let (scenario, seed) = scenario_from(&args)?;
     let algorithm = algorithm_from(&args)?;
     let duration_ms = args.num_or("duration-ms", 30_000.0f64)?;
@@ -656,7 +856,7 @@ pub fn simulate(argv: &[String]) -> Result<(), String> {
 
 /// `tacc topology`
 pub fn topology(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, &TOPOLOGY)?;
     let (scenario, _) = scenario_from(&args)?;
     print!("{}", tacc_core::topology::export::to_dot(scenario.topology()));
     Ok(())
@@ -664,7 +864,7 @@ pub fn topology(argv: &[String]) -> Result<(), String> {
 
 /// `tacc gen-trace`
 pub fn gen_trace(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, &GEN_TRACE)?;
     let json = gen_trace_json(&args)?;
     match args.str_opt("out") {
         Some(path) => std::fs::write(path, json).map_err(|e| format!("writing `{path}`: {e}"))?,
@@ -741,7 +941,7 @@ fn surge_trace(args: &Args, scenario: TraceScenario, seed: u64) -> Result<Trace,
 
 /// `tacc run-trace`
 pub fn run_trace(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, &RUN_TRACE)?;
     println!("{}", run_trace_report(&args)?);
     Ok(())
 }
@@ -914,7 +1114,7 @@ fn run_trace_report(args: &Args) -> Result<String, String> {
 /// byte-identical to an uninterrupted reference and no invariant was
 /// violated along the way.
 pub fn chaos(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, &CHAOS)?;
     let (json, byte_identical) = chaos_report(&args)?;
     println!("{json}");
     if !byte_identical {
@@ -1047,7 +1247,7 @@ fn serve_config_from(args: &Args) -> Result<tacc_serve::ServeConfig, String> {
 /// With `--standby` or `--replicate-to` the daemon boots as one half of
 /// a primary/standby pair (see `tacc-ha`).
 pub fn serve(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, &SERVE)?;
     let cfg = serve_config_from(&args)?;
     if cfg.obs_out.is_some() {
         tacc_obs::set_enabled(true);
@@ -1102,7 +1302,7 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
 /// scenario, stream its events in bursts, interleave device queries and
 /// budgeted solves — then any one-shot flags run in their listed order.
 pub fn client(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, &CLIENT)?;
     let timeout_ms = args.num_or("client-timeout-ms", 120_000u64)?;
     let cfg = tacc_serve::ClientConfig {
         connect_timeout: std::time::Duration::from_millis(timeout_ms.max(1)),
@@ -1272,7 +1472,7 @@ fn drive_session(
 /// Each fast lane is bit-for-bit identical to its reference; the report
 /// records the check alongside the timings.
 pub fn bench_report(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, &BENCH_REPORT)?;
     let out_dir = std::path::PathBuf::from(args.str_or("out", "."));
     let reps = args.num_or("reps", 3usize)?.max(1);
     let quick = args.has("quick");
@@ -1478,7 +1678,7 @@ fn bench_zones(quick: bool, reps: usize) -> Result<serde_json::Value, String> {
 /// flags and replays it in memory. `--json` swaps the text report for a
 /// machine-readable document (profile + full registry, timing included).
 pub fn obs_report(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, &OBS_REPORT)?;
     tacc_obs::set_enabled(true);
     tacc_obs::reset();
     let started = std::time::Instant::now();
@@ -1520,7 +1720,8 @@ pub fn obs_report(argv: &[String]) -> Result<(), String> {
 }
 
 /// `tacc algorithms`
-pub fn algorithms() -> Result<(), String> {
+pub fn algorithms(argv: &[String]) -> Result<(), String> {
+    Args::parse(argv, &ALGORITHMS)?;
     for algorithm in Algorithm::standard_set() {
         println!("{}", algorithm.name());
     }
@@ -1531,7 +1732,8 @@ pub fn algorithms() -> Result<(), String> {
 }
 
 /// `tacc families`
-pub fn families() -> Result<(), String> {
+pub fn families(argv: &[String]) -> Result<(), String> {
+    Args::parse(argv, &FAMILIES)?;
     for family in TopologyFamily::ALL {
         println!("{}", family.name());
     }
@@ -1578,7 +1780,7 @@ mod tests {
         let run = |extra: &[&str]| {
             let mut a: Vec<&str> = base.to_vec();
             a.extend_from_slice(extra);
-            solve_output(&Args::parse(&argv(&a)).unwrap())
+            solve_output(&Args::parse(&argv(&a), &SOLVE).unwrap())
         };
 
         let first = run(&["--algorithm", "simulated-annealing", "--budget", "25"]).unwrap();
@@ -1624,10 +1826,11 @@ mod tests {
         let empty_path = dir.join("empty.json");
         std::fs::write(&empty_path, empty.to_json()).unwrap();
         let flag = empty_path.to_str().unwrap();
-        run_trace_report(&Args::parse(&argv(&["--trace", flag])).unwrap()).unwrap();
-        let err =
-            run_trace_report(&Args::parse(&argv(&["--trace", flag, "--strict-inputs"])).unwrap())
-                .unwrap_err();
+        run_trace_report(&Args::parse(&argv(&["--trace", flag]), &RUN_TRACE).unwrap()).unwrap();
+        let err = run_trace_report(
+            &Args::parse(&argv(&["--trace", flag, "--strict-inputs"]), &RUN_TRACE).unwrap(),
+        )
+        .unwrap_err();
         assert!(err.contains("quarantined"), "got: {err}");
 
         // A nonsensical load factor is a hard violation: rejected with or
@@ -1637,7 +1840,7 @@ mod tests {
         let bad_path = dir.join("bad-load.json");
         std::fs::write(&bad_path, bad.to_json()).unwrap();
         let err = run_trace_report(
-            &Args::parse(&argv(&["--trace", bad_path.to_str().unwrap()])).unwrap(),
+            &Args::parse(&argv(&["--trace", bad_path.to_str().unwrap()]), &RUN_TRACE).unwrap(),
         )
         .unwrap_err();
         assert!(err.contains("quarantined"), "got: {err}");
@@ -1651,16 +1854,10 @@ mod tests {
         let journal_path = dir.join("journal.jsonl");
         std::fs::remove_file(&journal_path).ok();
 
-        let gen_args = Args::parse(&argv(&[
-            "--devices",
-            "12",
-            "--servers",
-            "3",
-            "--events",
-            "30",
-            "--seed",
-            "11",
-        ]))
+        let gen_args = Args::parse(
+            &argv(&["--devices", "12", "--servers", "3", "--events", "30", "--seed", "11"]),
+            &GEN_TRACE,
+        )
         .unwrap();
         std::fs::write(&trace_path, gen_trace_json(&gen_args).unwrap()).unwrap();
         let trace_flag = trace_path.to_str().unwrap();
@@ -1668,7 +1865,7 @@ mod tests {
         let run = |extra: &[&str]| {
             let mut a: Vec<&str> = vec!["--trace", trace_flag, "--seed", "11"];
             a.extend_from_slice(extra);
-            run_trace_report(&Args::parse(&argv(&a)).unwrap())
+            run_trace_report(&Args::parse(&argv(&a), &RUN_TRACE).unwrap())
         };
 
         let whole = run(&[]).unwrap();
@@ -1693,10 +1890,58 @@ mod tests {
         std::fs::remove_file(&journal_path).ok();
     }
 
+    const SPECS: [Spec; 13] = [
+        SOLVE,
+        COMPARE,
+        SIMULATE,
+        TOPOLOGY,
+        GEN_TRACE,
+        RUN_TRACE,
+        CHAOS,
+        SERVE,
+        CLIENT,
+        BENCH_REPORT,
+        OBS_REPORT,
+        ALGORITHMS,
+        FAMILIES,
+    ];
+
+    #[test]
+    fn a_flag_shared_by_two_groups_agrees_on_its_kind() {
+        for spec in SPECS {
+            for flag in spec.groups.iter().flat_map(|group| group.iter()) {
+                assert_eq!(spec.flag(flag.name), Some(*flag), "{}: --{}", spec.command, flag.name);
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_and_misspelt_flags_are_refused_before_anything_runs() {
+        let err = solve(&argv(&["--bogus", "1", "--devices", "5", "--servers", "2"])).unwrap_err();
+        assert!(err.contains("`--bogus`"), "got: {err}");
+        // The trace is never read: the flag check comes first.
+        let err = run_trace(&argv(&["--trace", "/nonexistent", "--stop-afer", "10"])).unwrap_err();
+        assert!(err.contains("`--stop-afer`"), "got: {err}");
+        let err = families(&argv(&["--json"])).unwrap_err();
+        assert!(err.contains("`--json`"), "got: {err}");
+    }
+
+    #[test]
+    fn the_benchmark_pair_flags_parse() {
+        for serve_argv in [
+            ["--uds", "s.sock", "--standby", "--journal", "s.jsonl", "--zones", "8"].as_slice(),
+            ["--uds", "p.sock", "--journal", "p.jsonl", "--replicate-to", "s.sock", "--zones", "8"]
+                .as_slice(),
+        ] {
+            let args = Args::parse(&argv(serve_argv), &SERVE).unwrap();
+            serve_config_from(&args).unwrap();
+        }
+    }
+
     #[test]
     fn lists_never_fail() {
-        algorithms().unwrap();
-        families().unwrap();
+        algorithms(&[]).unwrap();
+        families(&[]).unwrap();
     }
 
     #[test]
@@ -1716,16 +1961,10 @@ mod tests {
         let trace_path = dir.join("trace.json");
         let snap_path = dir.join("snapshot.json");
 
-        let gen_args = Args::parse(&argv(&[
-            "--devices",
-            "15",
-            "--servers",
-            "3",
-            "--events",
-            "50",
-            "--seed",
-            "42",
-        ]))
+        let gen_args = Args::parse(
+            &argv(&["--devices", "15", "--servers", "3", "--events", "50", "--seed", "42"]),
+            &GEN_TRACE,
+        )
         .unwrap();
         let json = gen_trace_json(&gen_args).unwrap();
         std::fs::write(&trace_path, &json).unwrap();
@@ -1738,7 +1977,7 @@ mod tests {
         let run = |extra: &[&str]| {
             let mut a: Vec<&str> = base.to_vec();
             a.extend_from_slice(extra);
-            run_trace_report(&Args::parse(&argv(&a)).unwrap()).unwrap()
+            run_trace_report(&Args::parse(&argv(&a), &RUN_TRACE).unwrap()).unwrap()
         };
 
         // Two uninterrupted runs are byte-identical.
@@ -1759,16 +1998,10 @@ mod tests {
         let journal_path = dir.join("journal.jsonl");
         std::fs::remove_file(&journal_path).ok();
 
-        let gen_args = Args::parse(&argv(&[
-            "--devices",
-            "15",
-            "--servers",
-            "3",
-            "--events",
-            "40",
-            "--seed",
-            "7",
-        ]))
+        let gen_args = Args::parse(
+            &argv(&["--devices", "15", "--servers", "3", "--events", "40", "--seed", "7"]),
+            &GEN_TRACE,
+        )
         .unwrap();
         std::fs::write(&trace_path, gen_trace_json(&gen_args).unwrap()).unwrap();
 
@@ -1777,7 +2010,7 @@ mod tests {
         let run = |extra: &[&str]| {
             let mut a: Vec<&str> = vec!["--trace", trace_flag, "--seed", "7"];
             a.extend_from_slice(extra);
-            run_trace_report(&Args::parse(&argv(&a)).unwrap()).unwrap()
+            run_trace_report(&Args::parse(&argv(&a), &RUN_TRACE).unwrap()).unwrap()
         };
 
         let whole = run(&[]);
@@ -1791,33 +2024,32 @@ mod tests {
 
     #[test]
     fn run_trace_journal_flag_conflicts_are_reported() {
-        let args = Args::parse(&argv(&["--trace", "t.json", "--recover"])).unwrap();
+        let args = Args::parse(&argv(&["--trace", "t.json", "--recover"]), &RUN_TRACE).unwrap();
         let err = run_trace_report(&args).unwrap_err();
         assert!(err.contains("--recover needs --journal"), "got: {err}");
-        let args = Args::parse(&argv(&[
-            "--trace",
-            "t.json",
-            "--journal",
-            "j.jsonl",
-            "--resume",
-            "s.json",
-        ]))
+        let args = Args::parse(
+            &argv(&["--trace", "t.json", "--journal", "j.jsonl", "--resume", "s.json"]),
+            &RUN_TRACE,
+        )
         .unwrap();
         let err = run_trace_report(&args).unwrap_err();
         assert!(err.contains("mutually exclusive"), "got: {err}");
     }
 
     /// A 60 × 6 trace (`gen-trace --seed 3`), stopped after 40 events
-    /// with a snapshot, and that snapshot three times over with one of
-    /// its maintainer's arrays cut short — each paired with the finding
-    /// the quarantine must report. Unchecked, the first two panic on the
-    /// next step and the third resumes to a different report.
+    /// with a snapshot, and that snapshot edited seven ways — three of
+    /// its maintainer's arrays cut short, server 0's tree re-rooted
+    /// twice, and that tree given a negative distance or a non-zero root
+    /// distance — each paired with the finding the quarantine must
+    /// report. Unchecked, they panic on the next step or resume to a
+    /// different report.
     fn misshapen_maintainer_snapshots(dir: &Path) -> (Trace, Vec<(String, RuntimeSnapshot)>) {
         use serde_json::Value;
         std::fs::create_dir_all(dir).unwrap();
         let (trace_path, snap_path) = (dir.join("trace.json"), dir.join("snapshot.json"));
         let gen =
-            Args::parse(&argv(&["--devices", "60", "--servers", "6", "--seed", "3"])).unwrap();
+            Args::parse(&argv(&["--devices", "60", "--servers", "6", "--seed", "3"]), &GEN_TRACE)
+                .unwrap();
         std::fs::write(&trace_path, gen_trace_json(&gen).unwrap()).unwrap();
         let stop = argv(&[
             "--trace",
@@ -1827,7 +2059,7 @@ mod tests {
             "--snapshot-out",
             snap_path.to_str().unwrap(),
         ]);
-        run_trace_report(&Args::parse(&stop).unwrap()).unwrap();
+        run_trace_report(&Args::parse(&stop, &RUN_TRACE).unwrap()).unwrap();
         let trace = Trace::from_json(&std::fs::read_to_string(&trace_path).unwrap()).unwrap();
         let snapshot: Value =
             serde_json::from_str(&std::fs::read_to_string(&snap_path).unwrap()).unwrap();
@@ -1863,6 +2095,21 @@ mod tests {
                 format!("maintainer tree 0 is rooted at node {source}, expected node {home}");
             cases.push((finding, value));
         }
+        // Server 0's tree holding a negative distance at some other node,
+        // then a non-zero distance at its own root.
+        let other = usize::from(home == 0);
+        for (node, distance) in [(other, -1.5), (home as usize, 0.5)] {
+            let mut value = snapshot.clone();
+            let Value::Array(trees) = member(member(&mut value, "maintainer"), "trees") else {
+                panic!("maintainer.trees is an array")
+            };
+            let Value::Array(dist) = member(&mut trees[0], "dist") else {
+                panic!("a tree's distances are an array")
+            };
+            dist[node] = Value::Float(distance);
+            let finding = format!("maintainer tree 0 holds distance {distance} at node {node}");
+            cases.push((finding, value));
+        }
         let cases =
             cases.into_iter().map(|(f, value)| (f, serde_json::from_value(&value).unwrap()));
         (trace, cases.collect())
@@ -1881,7 +2128,7 @@ mod tests {
                 "--resume",
                 snap_path.to_str().unwrap(),
             ]);
-            let err = run_trace_report(&Args::parse(&resume).unwrap()).unwrap_err();
+            let err = run_trace_report(&Args::parse(&resume, &RUN_TRACE).unwrap()).unwrap_err();
             assert!(err.contains(&finding), "want `{finding}`, got: {err}");
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -1908,18 +2155,21 @@ mod tests {
     #[test]
     fn chaos_smoke_survives_every_profile_name() {
         for profile in ChaosProfile::ALL {
-            let args = Args::parse(&argv(&[
-                "--profile",
-                profile.name(),
-                "--devices",
-                "10",
-                "--servers",
-                "3",
-                "--events",
-                "20",
-                "--crash-every",
-                "6",
-            ]))
+            let args = Args::parse(
+                &argv(&[
+                    "--profile",
+                    profile.name(),
+                    "--devices",
+                    "10",
+                    "--servers",
+                    "3",
+                    "--events",
+                    "20",
+                    "--crash-every",
+                    "6",
+                ]),
+                &CHAOS,
+            )
             .unwrap();
             let (json, byte_identical) = chaos_report(&args).unwrap();
             assert!(byte_identical, "{}: recovery diverged", profile.name());
@@ -1929,17 +2179,20 @@ mod tests {
 
     #[test]
     fn chaos_corrupt_records_gate_reports_proven_offsets() {
-        let args = Args::parse(&argv(&[
-            "--devices",
-            "10",
-            "--servers",
-            "3",
-            "--events",
-            "15",
-            "--crash-every",
-            "6",
-            "--corrupt-records",
-        ]))
+        let args = Args::parse(
+            &argv(&[
+                "--devices",
+                "10",
+                "--servers",
+                "3",
+                "--events",
+                "15",
+                "--crash-every",
+                "6",
+                "--corrupt-records",
+            ]),
+            &CHAOS,
+        )
         .unwrap();
         let (json, byte_identical) = chaos_report(&args).unwrap();
         assert!(byte_identical);
@@ -1948,7 +2201,7 @@ mod tests {
 
     #[test]
     fn chaos_rejects_unknown_profiles() {
-        let args = Args::parse(&argv(&["--profile", "nope"])).unwrap();
+        let args = Args::parse(&argv(&["--profile", "nope"]), &CHAOS).unwrap();
         let err = chaos_report(&args).unwrap_err();
         assert!(err.contains("unknown chaos profile"), "got: {err}");
         assert!(err.contains("partition"), "the diagnosis lists the profiles: {err}");
@@ -1956,16 +2209,19 @@ mod tests {
 
     #[test]
     fn run_trace_rejects_missing_inputs() {
-        let args = Args::parse(&argv(&[])).unwrap();
+        let args = Args::parse(&argv(&[]), &RUN_TRACE).unwrap();
         assert!(run_trace_report(&args).is_err());
-        let args = Args::parse(&argv(&["--trace", "/nonexistent/trace.json"])).unwrap();
+        let args = Args::parse(&argv(&["--trace", "/nonexistent/trace.json"]), &RUN_TRACE).unwrap();
         assert!(run_trace_report(&args).is_err());
         let dir = std::env::temp_dir().join("tacc-cli-trace-test-bad");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("trace.json");
         std::fs::write(&path, "{}").unwrap();
-        let args =
-            Args::parse(&argv(&["--trace", path.to_str().unwrap(), "--policy", "nope"])).unwrap();
+        let args = Args::parse(
+            &argv(&["--trace", path.to_str().unwrap(), "--policy", "nope"]),
+            &RUN_TRACE,
+        )
+        .unwrap();
         assert!(run_trace_report(&args).is_err());
     }
 

@@ -24,25 +24,35 @@ fn main() -> ExitCode {
         eprintln!("{}", commands::USAGE);
         return ExitCode::FAILURE;
     };
-    let result = match command.as_str() {
-        "solve" => commands::solve(rest),
-        "compare" => commands::compare(rest),
-        "simulate" => commands::simulate(rest),
-        "topology" => commands::topology(rest),
-        "gen-trace" => commands::gen_trace(rest),
-        "run-trace" => commands::run_trace(rest),
-        "chaos" => commands::chaos(rest),
-        "serve" => commands::serve(rest),
-        "client" => commands::client(rest),
-        "bench-report" => commands::bench_report(rest),
-        "obs-report" => commands::obs_report(rest),
-        "algorithms" => commands::algorithms(),
-        "families" => commands::families(),
-        "help" | "--help" | "-h" => {
+    let run: fn(&[String]) -> Result<(), String> = match command.as_str() {
+        "solve" => commands::solve,
+        "compare" => commands::compare,
+        "simulate" => commands::simulate,
+        "topology" => commands::topology,
+        "gen-trace" => commands::gen_trace,
+        "run-trace" => commands::run_trace,
+        "chaos" => commands::chaos,
+        "serve" => commands::serve,
+        "client" => commands::client,
+        "bench-report" => commands::bench_report,
+        "obs-report" => commands::obs_report,
+        "algorithms" => commands::algorithms,
+        "families" => commands::families,
+        "help" | "--help" | "-h" => |_| {
             println!("{}", commands::USAGE);
             Ok(())
+        },
+        other => {
+            eprintln!("error: unknown command `{other}`\n\n{}", commands::USAGE);
+            return ExitCode::FAILURE;
         }
-        other => Err(format!("unknown command `{other}`\n\n{}", commands::USAGE)),
+    };
+    // `<command> --help` prints the usage instead of running the command.
+    let result = if rest.iter().any(|arg| arg == "--help" || arg == "-h") {
+        println!("{}", commands::USAGE);
+        Ok(())
+    } else {
+        run(rest)
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,

@@ -147,6 +147,16 @@ pub enum ValidationIssue {
         /// The server's node in the topology.
         expected: usize,
     },
+    /// A snapshot's shortest-path tree holds a distance no tree can: NaN
+    /// or negative anywhere, or other than 0 at its root.
+    BadTreeDistance {
+        /// The server whose tree it is.
+        server: usize,
+        /// The node holding the distance.
+        node: usize,
+        /// The offending distance.
+        value: f64,
+    },
     /// A per-device priority is non-positive or non-finite.
     BadPriority {
         /// Device index.
@@ -226,6 +236,9 @@ impl fmt::Display for ValidationIssue {
                     f,
                     "maintainer tree {server} is rooted at node {found}, expected node {expected}"
                 )
+            }
+            ValidationIssue::BadTreeDistance { server, node, value } => {
+                write!(f, "maintainer tree {server} holds distance {value} at node {node}")
             }
             ValidationIssue::BadPriority { device, value } => {
                 write!(f, "device {device} has bad priority {value}")
@@ -421,9 +434,10 @@ pub fn validate_trace(trace: &Trace) -> QuarantineReport {
 /// (serde bypasses all builder checks), per-device vector lengths against
 /// the topology, assignment server indices, config priorities, and the
 /// delay maintainer's own state: its arrays' shape
-/// ([`tacc_runtime::DelayMaintainer::shape_mismatches`]) and each tree's
-/// source ([`tacc_runtime::DelayMaintainer::misrooted_trees`]). The
-/// snapshot carries no delay matrix; the restore reads it out of the
+/// ([`tacc_runtime::DelayMaintainer::shape_mismatches`]), each tree's
+/// source ([`tacc_runtime::DelayMaintainer::misrooted_trees`]) and its
+/// distances ([`tacc_runtime::DelayMaintainer::bad_tree_distances`]).
+/// The snapshot carries no delay matrix; the restore reads it out of the
 /// trees this checks.
 #[must_use]
 pub fn validate_snapshot(snapshot: &RuntimeSnapshot) -> QuarantineReport {
@@ -498,6 +512,9 @@ pub fn validate_snapshot(snapshot: &RuntimeSnapshot) -> QuarantineReport {
     for (server, found, expected) in snapshot.maintainer.misrooted_trees(&snapshot.topology) {
         let (found, expected) = (found.index(), expected.index());
         report.issues.push(ValidationIssue::MisrootedTree { server, found, expected });
+    }
+    for (server, node, value) in snapshot.maintainer.bad_tree_distances() {
+        report.issues.push(ValidationIssue::BadTreeDistance { server, node, value });
     }
     report
 }

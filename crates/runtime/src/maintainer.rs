@@ -193,6 +193,27 @@ impl DelayMaintainer {
             .collect()
     }
 
+    /// The distances no shortest-path tree can hold, as `(server, node
+    /// index, distance)`: a NaN or negative distance at any node of tree
+    /// `server`, and a root distance other than 0. Empty for any
+    /// maintainer [`DelayMaintainer::new`] built. A deserialized tree
+    /// carrying one passes the shape and root checks, and the next
+    /// repair that reaches an IoT row writes it into the cluster's
+    /// delays, which refuse it with a panic; snapshot quarantine
+    /// reports these before a restore.
+    pub fn bad_tree_distances(&self) -> Vec<(usize, usize, f64)> {
+        let mut bad = Vec::new();
+        for (server, tree) in self.trees.iter().enumerate() {
+            let root = tree.source().index();
+            for (node, &d) in tree.distances().iter().enumerate() {
+                if d.is_nan() || d < 0.0 || (node == root && d != 0.0) {
+                    bad.push((server, node, d));
+                }
+            }
+        }
+        bad
+    }
+
     /// Applies a latency drift that the caller has already written into
     /// `topology` (via [`Topology::set_link_latency`]). Returns the repair
     /// work performed and appends to `changed` the `(row, column)`
@@ -441,6 +462,19 @@ mod tests {
 
         maintainer.recover_server(&topo, 1, &mut Vec::new());
         assert_eq!(maintainer.delay_matrix(&topo), before, "recovery restores the original matrix");
+    }
+
+    #[test]
+    fn built_and_repaired_trees_hold_no_bad_distance() {
+        for full_mode in [false, true] {
+            let topo = topology();
+            let mut maintainer = DelayMaintainer::new(&topo, DelayModel::default(), full_mode);
+            assert!(maintainer.bad_tree_distances().is_empty());
+            // A failed server's tree reaches nothing but keeps its root at 0.
+            maintainer.fail_server(&topo, 0, &mut Vec::new());
+            maintainer.fail_server(&topo, 2, &mut Vec::new());
+            assert!(maintainer.bad_tree_distances().is_empty(), "full mode {full_mode}");
+        }
     }
 
     #[test]

@@ -24,8 +24,9 @@ pub struct ServeConfig {
     /// only the implicit snapshot cadence of recovery, i.e. never).
     /// Snapshots bound recovery replay length, nothing else.
     pub snapshot_every: u64,
-    /// Socket read timeout in milliseconds — the daemon's idle tick, on
-    /// which shutdown flags are polled.
+    /// Read timeout on an open connection, in milliseconds: how often a
+    /// silent client lets the daemon check its shutdown flags. Between
+    /// connections a signal ends the accept wait at once.
     pub read_timeout_ms: u64,
     /// Algorithm answering `Solve` queries; must be anytime-capable
     /// (local-search, q-learning, sarsa, simulated-annealing, ...).
@@ -46,7 +47,7 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     /// Flush every 64 pending events, shed past 4096, 2000 solver units
-    /// per query, snapshot every 256 applied events, 100 ms idle tick,
+    /// per query, snapshot every 256 applied events, 100 ms read timeout,
     /// local-search queries (E16: at the daemon's shapes it matches or
     /// beats q-learning's objective, 13 to 61 times faster), no journal,
     /// no stream.

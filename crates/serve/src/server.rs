@@ -1,7 +1,17 @@
 //! The accept/dispatch loop.
+//!
+//! One thread serves every connection in turn. Between connections the
+//! loop blocks in one `poll(2)` over all bound listeners (declared in
+//! `signal.rs`) and accepts as soon as a client knocks, so a connection
+//! never waits on a timer: not a client's first connect, not a primary's
+//! first dial to its standby, not the redial and `Promote` of a
+//! failover. SIGTERM/SIGINT end the wait at once, and `ACCEPT_WAIT_MS`
+//! bounds it. Listeners stay nonblocking, so a wake-up that finds nobody
+//! to accept just waits again.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -14,8 +24,13 @@ use tacc_proto::{
 use tacc_runtime::Runtime;
 
 use crate::session::failpoint;
-use crate::signal::termination_requested;
+use crate::signal::{termination_requested, wait_readable};
 use crate::{ServeConfig, ServeError, Session};
+
+/// Upper bound on one accept wait, in milliseconds. A connection or a
+/// signal ends the wait at once; the bound only matters for a signal
+/// that lands between the loop's flag check and the `poll(2)` call.
+const ACCEPT_WAIT_MS: u16 = 5;
 
 /// Role-specific interception around the dispatcher, the seam the
 /// high-availability layer plugs into without the core daemon knowing
@@ -68,6 +83,15 @@ pub enum Listener {
     Tcp(TcpListener),
     /// A Unix-domain-socket listener (with its path, for cleanup).
     Unix(UnixListener, PathBuf),
+}
+
+impl AsRawFd for Listener {
+    fn as_raw_fd(&self) -> RawFd {
+        match self {
+            Listener::Tcp(l) => l.as_raw_fd(),
+            Listener::Unix(l, _) => l.as_raw_fd(),
+        }
+    }
 }
 
 /// The daemon: bound listeners, the (at most one) live session, and the
@@ -154,8 +178,8 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Io`] on accept failures that are not transient, and
-    /// session-close failures at shutdown.
+    /// [`ServeError::Io`] on accept or accept-wait failures that are not
+    /// transient, and session-close failures at shutdown.
     pub fn run(&mut self) -> Result<(), ServeError> {
         self.run_with(&mut NoHooks)
     }
@@ -167,13 +191,17 @@ impl Server {
     ///
     /// As [`Server::run`].
     pub fn run_with<H: ServerHooks>(&mut self, hooks: &mut H) -> Result<(), ServeError> {
+        let fds: Vec<RawFd> = self.listeners.iter().map(AsRawFd::as_raw_fd).collect();
         while !self.stop && !termination_requested() {
             match self.accept_one()? {
                 Some(mut conn) => {
                     tacc_obs::counter_add("serve.connections", 1);
                     self.serve_connection(&mut conn, hooks);
                 }
-                None => std::thread::sleep(Duration::from_millis(5)),
+                None => {
+                    wait_readable(&fds, ACCEPT_WAIT_MS)
+                        .map_err(|e| ServeError::io("accept wait", &e))?;
+                }
             }
         }
         if let Some(session) = self.session.take() {

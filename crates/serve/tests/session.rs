@@ -360,3 +360,36 @@ fn sessions_work_over_unix_sockets_too() {
     assert!(!socket.exists(), "clean shutdown removes the socket file");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_daemon_on_tcp_and_uds_answers_each_endpoint_in_turn() {
+    let dir = temp_dir("both");
+    let socket = dir.join("daemon.sock");
+    let mut server =
+        Server::bind(Some("127.0.0.1:0"), Some(&socket), ServeConfig::default()).unwrap();
+    let endpoints = server.endpoints();
+    assert_eq!(endpoints.len(), 2, "one TCP and one Unix listener: {endpoints:?}");
+    let addr = endpoints[0].strip_prefix("tcp:").unwrap().to_owned();
+    let handle = std::thread::spawn(move || server.run().unwrap());
+
+    // Alternate endpoints: each connection is served, closed, and the
+    // loop goes back to waiting on both listeners for the next one.
+    for round in 0..3 {
+        for over_tcp in [true, false] {
+            let mut client = if over_tcp {
+                Client::connect_tcp(&addr).unwrap()
+            } else {
+                Client::connect_unix(&socket).unwrap()
+            };
+            let response = client.hello("both-endpoints").unwrap();
+            assert!(
+                matches!(response, Response::Hello { .. }),
+                "round {round}, tcp {over_tcp}: got {response:?}"
+            );
+        }
+    }
+    Client::connect_unix(&socket).unwrap().shutdown().unwrap();
+    handle.join().unwrap();
+    assert!(!socket.exists(), "clean shutdown removes the socket file");
+    std::fs::remove_dir_all(&dir).ok();
+}
