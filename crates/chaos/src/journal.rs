@@ -15,8 +15,9 @@
 //!   re-processing an event reproduces the same state).
 //!
 //! Every line is a CRC-32 frame — `{"crc32":N,"record":{...}}` with the
-//! checksum taken over the serialized record — so *any* single corrupted
-//! byte is detected, not just bytes that break JSON syntax.
+//! checksum taken over the record's bytes exactly as written — so *any*
+//! single corrupted byte is detected, not just bytes that break JSON
+//! syntax, and a reader checks the checksum before it parses anything.
 //!
 //! Sessions whose events arrive over a wire instead of from a trace file
 //! (the `tacc serve` daemon) add three record kinds: a `SessionScenario`
@@ -69,7 +70,6 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
-use serde_json::Value;
 use tacc_runtime::{Runtime, RuntimeConfig, RuntimeSnapshot};
 use tacc_workload::{TimedEvent, Trace, TraceScenario};
 
@@ -78,6 +78,11 @@ use crate::ChaosError;
 
 /// The journal format this build writes and the only one it reads.
 pub const JOURNAL_VERSION: u32 = 4;
+
+/// What every journal line starts with, up to its checksum's digits.
+const FRAME_HEAD: &str = "{\"crc32\":";
+/// What separates the checksum from the record; the line ends in `}`.
+const FRAME_RECORD: &str = ",\"record\":";
 
 /// One line of the journal.
 ///
@@ -244,7 +249,7 @@ impl Journal {
         for record in records {
             let body = serde_json::to_string(record).expect("journal records are serializable");
             let checksum = crc32(body.as_bytes());
-            writeln!(lines, "{{\"crc32\":{checksum},\"record\":{body}}}")
+            writeln!(lines, "{FRAME_HEAD}{checksum}{FRAME_RECORD}{body}}}")
                 .expect("writing to a String is infallible");
         }
         tacc_obs::counter_add("journal.records", records.len() as u64);
@@ -400,33 +405,33 @@ pub struct Recovery {
 
 /// Parses (and CRC-verifies) one CRC-framed journal line. This is how a
 /// replication standby validates each shipped line before making it
-/// durable.
+/// durable, and how a scan and a reopen read every line.
+///
+/// The frame is fixed — `{"crc32":N,"record":R}`, exactly as
+/// [`Journal::append_batch`] writes it — so the checksum is taken over
+/// the raw bytes of `R` and the record is parsed once, only after it
+/// verifies. Any byte that differs from what was written fails: a digit
+/// of `N` changes the stored checksum, a byte of the frame breaks the
+/// frame, and a byte of `R` (whitespace included) breaks the CRC.
 ///
 /// # Errors
 ///
 /// A human-readable reason when the line is not an intact record.
 pub fn parse_journal_line(line: &str) -> Result<JournalRecord, String> {
-    let value: Value = serde_json::from_str(line).map_err(|e| format!("unparseable line: {e}"))?;
-    // Verify the checksum over the re-serialized record. Serialization
-    // is byte-deterministic (insertion-ordered keys, shortest-roundtrip
-    // floats), so an intact record reproduces the exact bytes the
-    // checksum was computed over.
-    let Some(stored) = value.get("crc32") else {
+    let Some(framed) = line.strip_prefix(FRAME_HEAD) else {
         return Err("line is not a CRC frame".to_owned());
     };
-    let Value::UInt(stored) = stored else {
-        return Err("frame has a non-integer crc32".to_owned());
-    };
-    let stored = u32::try_from(*stored).map_err(|_| "frame crc32 out of range".to_owned())?;
-    let Some(record) = value.get("record") else {
+    let digits = framed.bytes().take_while(u8::is_ascii_digit).count();
+    let (stored, framed) = framed.split_at(digits);
+    let stored: u32 = stored.parse().map_err(|_| "frame has a bad crc32".to_owned())?;
+    let Some(body) = framed.strip_prefix(FRAME_RECORD).and_then(|r| r.strip_suffix('}')) else {
         return Err("frame is missing its record".to_owned());
     };
-    let body = serde_json::to_string(record).expect("parsed values re-serialize");
     let computed = crc32(body.as_bytes());
     if computed != stored {
         return Err(format!("CRC mismatch (stored {stored:#010x}, computed {computed:#010x})"));
     }
-    serde_json::from_value::<JournalRecord>(record).map_err(|e| format!("bad record: {e}"))
+    serde_json::from_str::<JournalRecord>(body).map_err(|e| format!("bad record: {e}"))
 }
 
 /// A journal read end-to-end, validated but not yet replayed. This is
@@ -810,6 +815,98 @@ mod tests {
         assert_eq!(recovery.corrupt_records, vec![2]);
         assert_eq!(recovery.last_step, Some(4), "the intact step survives");
         std::fs::remove_file(&path).ok();
+    }
+
+    /// `record` as the framed line [`Journal::append`] writes, newline
+    /// stripped.
+    fn framed(record: &JournalRecord) -> String {
+        static FILES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let file = FILES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let path = temp_path(&format!("framed-{file}"));
+        let mut journal = Journal::create_raw(&path).unwrap();
+        journal.append(record).unwrap();
+        drop(journal);
+        let line = std::fs::read_to_string(&path).unwrap().trim_end().to_owned();
+        std::fs::remove_file(&path).ok();
+        line
+    }
+
+    /// A small runtime's snapshot, an event and a step, each framed.
+    fn framed_lines() -> Vec<String> {
+        let trace = TraceGenerator::new(TraceScenario {
+            num_iot: 3,
+            num_servers: 2,
+            ..TraceScenario::default()
+        })
+        .num_events(4)
+        .generate(5)
+        .unwrap();
+        let mut runtime = Runtime::from_trace(&trace, RuntimeConfig::default()).unwrap();
+        runtime.run(&trace).unwrap();
+        let lines: Vec<String> = [
+            JournalRecord::Snapshot { snapshot: runtime.snapshot() },
+            JournalRecord::Event { index: 3, timed: trace.events[3].clone() },
+            JournalRecord::Step { index: 3 },
+        ]
+        .iter()
+        .map(framed)
+        .collect();
+        for line in &lines {
+            parse_journal_line(line).expect("an intact line parses");
+        }
+        lines
+    }
+
+    /// Every byte of the Event and Step lines set to every other value,
+    /// and of the Snapshot line to every value one bit away (its frame
+    /// bytes to every other value too): no line that is still UTF-8 —
+    /// which every reader checks first — parses. Inside the record the
+    /// CRC catches any change confined to one byte, whatever the value,
+    /// so the bit flips stand for the rest there.
+    #[test]
+    fn every_single_byte_flip_of_a_framed_line_is_refused() {
+        for line in framed_lines() {
+            let record_at = line.find(FRAME_RECORD).unwrap() + FRAME_RECORD.len();
+            let short = line.len() < 200;
+            let mut bytes = line.clone().into_bytes();
+            for at in 0..bytes.len() {
+                let original = bytes[at];
+                let every = short || at < record_at || at + 1 == bytes.len();
+                let values: Vec<u8> = if every {
+                    (0..=u8::MAX).filter(|&v| v != original).collect()
+                } else {
+                    (0..8).map(|bit| original ^ (1 << bit)).collect()
+                };
+                for value in values {
+                    bytes[at] = value;
+                    if let Ok(flipped) = std::str::from_utf8(&bytes) {
+                        assert!(
+                            parse_journal_line(flipped).is_err(),
+                            "{}…: byte {at} set to {value:#04x} was accepted",
+                            &line[..line.len().min(40)]
+                        );
+                    }
+                }
+                bytes[at] = original;
+            }
+        }
+    }
+
+    #[test]
+    fn a_whitespace_edit_inside_a_record_is_refused() {
+        for line in framed_lines() {
+            let record_at = line.find(FRAME_RECORD).unwrap() + FRAME_RECORD.len();
+            let mut edits = 0;
+            for (at, byte) in line.bytes().enumerate().skip(record_at) {
+                if byte == b':' || byte == b',' {
+                    let spaced = format!("{} {}", &line[..=at], &line[at + 1..]);
+                    let err = parse_journal_line(&spaced).unwrap_err();
+                    assert!(err.contains("CRC mismatch"), "got: {err}");
+                    edits += 1;
+                }
+            }
+            assert!(edits > 0, "every record has a member");
+        }
     }
 
     #[test]

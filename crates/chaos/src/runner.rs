@@ -113,12 +113,30 @@ fn quarantine(trace: &Trace) -> Result<(), ChaosError> {
         .map_err(|e| ChaosError::Quarantine { reason: e.to_string() })
 }
 
-/// The uninterrupted reference: the deterministic report string and the
-/// final snapshot, plus the worst overload seen along the way.
-fn reference_run(
-    trace: &Trace,
-    config: &RuntimeConfig,
-) -> Result<(String, RuntimeSnapshot, f64), ChaosError> {
+/// What the gates compare a finished run by: the deterministic report
+/// string, the final snapshot and — since a snapshot stores each tree's
+/// parents, not its distances — the cluster's delay matrix, bit for bit.
+#[derive(PartialEq)]
+struct Outcome {
+    report: String,
+    snapshot: RuntimeSnapshot,
+    delays: Vec<u64>,
+}
+
+impl Outcome {
+    fn of(runtime: &Runtime) -> Outcome {
+        Outcome {
+            report: serde_json::to_string(&runtime.report_json(false))
+                .expect("reports are serializable"),
+            snapshot: runtime.snapshot(),
+            delays: runtime.cluster().instance().delays().iter().map(f64::to_bits).collect(),
+        }
+    }
+}
+
+/// The uninterrupted reference's outcome, plus the worst overload seen
+/// along the way.
+fn reference_run(trace: &Trace, config: &RuntimeConfig) -> Result<(Outcome, f64), ChaosError> {
     let checker = InvariantChecker::default();
     let mut runtime = Runtime::from_trace(trace, config.clone())?;
     let mut max_overload = 0.0f64;
@@ -127,9 +145,7 @@ fn reference_run(
         max_overload = max_overload.max(runtime.max_overload());
         checker.check(&runtime)?;
     }
-    let report =
-        serde_json::to_string(&runtime.report_json(false)).expect("reports are serializable");
-    Ok((report, runtime.snapshot(), max_overload))
+    Ok((Outcome::of(&runtime), max_overload))
 }
 
 /// Replays `trace` under `plan`, journaling to `journal_path`, simulating
@@ -149,8 +165,7 @@ pub fn run_with_crashes(
     journal_path: &Path,
 ) -> Result<ChaosReport, ChaosError> {
     quarantine(trace)?;
-    let (reference_report, reference_snapshot, reference_overload) =
-        reference_run(trace, &plan.config)?;
+    let (reference, reference_overload) = reference_run(trace, &plan.config)?;
 
     let checker = InvariantChecker::default();
     let total = trace.events.len() as u64;
@@ -197,10 +212,7 @@ pub fn run_with_crashes(
         }
     }
 
-    let final_report =
-        serde_json::to_string(&runtime.report_json(false)).expect("reports are serializable");
-    let final_snapshot = runtime.snapshot();
-    let byte_identical = final_report == reference_report && final_snapshot == reference_snapshot;
+    let byte_identical = Outcome::of(&runtime) == reference;
     if max_overload > 1e-9 {
         return Err(ChaosError::Mismatch {
             reason: format!("transient overload of {max_overload} demand units"),
@@ -240,7 +252,7 @@ pub fn kill_at_every_boundary(
     journal_path: &Path,
 ) -> Result<u64, ChaosError> {
     quarantine(trace)?;
-    let (reference_report, reference_snapshot, _) = reference_run(trace, config)?;
+    let (reference, _) = reference_run(trace, config)?;
     let checker = InvariantChecker::default();
 
     for crash_at in 1..=trace.events.len() {
@@ -281,9 +293,7 @@ pub fn kill_at_every_boundary(
             }
             checker.check(&runtime)?;
         }
-        let report =
-            serde_json::to_string(&runtime.report_json(false)).expect("reports are serializable");
-        if report != reference_report || runtime.snapshot() != reference_snapshot {
+        if Outcome::of(&runtime) != reference {
             return Err(ChaosError::Mismatch {
                 reason: format!("boundary {crash_at}: recovered run diverged from reference"),
             });
@@ -313,7 +323,7 @@ pub fn corrupt_and_recover_everywhere(
     journal_path: &Path,
 ) -> Result<u64, ChaosError> {
     quarantine(trace)?;
-    let (reference_report, reference_snapshot, _) = reference_run(trace, config)?;
+    let (reference, _) = reference_run(trace, config)?;
 
     // One complete journaled run; its bytes are the corruption corpus.
     let mut journal = Journal::create(journal_path, trace, config)?;
@@ -386,9 +396,7 @@ pub fn corrupt_and_recover_everywhere(
             let index = runtime.cursor() as usize;
             runtime.step(index, &trace.events[index])?;
         }
-        let report =
-            serde_json::to_string(&runtime.report_json(false)).expect("reports are serializable");
-        if report != reference_report || runtime.snapshot() != reference_snapshot {
+        if Outcome::of(&runtime) != reference {
             return Err(ChaosError::Mismatch {
                 reason: format!("line {line_no}: recovery from corruption diverged from reference"),
             });
@@ -425,7 +433,7 @@ pub fn truncate_and_recover(
     at_byte: u64,
 ) -> Result<u64, ChaosError> {
     quarantine(trace)?;
-    let (reference_report, reference_snapshot, _) = reference_run(trace, config)?;
+    let (reference, _) = reference_run(trace, config)?;
 
     // One complete journaled run; its bytes are the damage corpus.
     let mut journal = Journal::create(journal_path, trace, config)?;
@@ -478,9 +486,7 @@ pub fn truncate_and_recover(
         let index = runtime.cursor() as usize;
         runtime.step(index, &trace.events[index])?;
     }
-    let report =
-        serde_json::to_string(&runtime.report_json(false)).expect("reports are serializable");
-    if report != reference_report || runtime.snapshot() != reference_snapshot {
+    if Outcome::of(&runtime) != reference {
         return Err(ChaosError::Mismatch {
             reason: format!("cut at byte {at_byte}: healed run diverged from reference"),
         });

@@ -194,7 +194,8 @@ client only (needs --connect ADDR, --uds PATH or --failover LIST):
   --solve-every N    budgeted solve every N bursts (0 = off) [default 0]
   --budget N         work budget for those solves (0 = server default);
                      --drive also takes the run-trace policy flags for the
-                     session's runtime, so this also sets its migration budget
+                     session's runtime, but not this one: the session keeps
+                     the default migration budget (4)
   --hello | --promote | --stats | --metrics | --snapshot | --flush | --shutdown
                      one-shot requests (run in that order, after --drive
                      when both are given); each response prints as JSON.
@@ -1394,7 +1395,12 @@ fn drive_session(
 
     let shell = Trace { events: Vec::new(), ..trace.clone() };
     let devices = shell.scenario.num_iot;
-    match client.init(shell, runtime_config_from(args)?).map_err(|e| e.to_string())? {
+    // `--budget` is the Solve budget here, not the migration budget.
+    let config = RuntimeConfig {
+        migration_budget: RuntimeConfig::default().migration_budget,
+        ..runtime_config_from(args)?
+    };
+    match client.init(shell, config).map_err(|e| e.to_string())? {
         Response::Initialized { .. } => {}
         other => return Err(format!("Init answered {other:?}")),
     }
@@ -2037,12 +2043,14 @@ mod tests {
     }
 
     /// A 60 × 6 trace (`gen-trace --seed 3`), stopped after 40 events
-    /// with a snapshot, and that snapshot edited seven ways — three of
+    /// with a snapshot, and that snapshot edited nine ways — three of
     /// its maintainer's arrays cut short, server 0's tree re-rooted
-    /// twice, and that tree given a negative distance or a non-zero root
-    /// distance — each paired with the finding the quarantine must
-    /// report. Unchecked, they panic on the next step or resume to a
-    /// different report.
+    /// twice, and that tree's parent links edited four ways (the first
+    /// device hung off a link it is not on, off its own link marked
+    /// disabled, onto a parent cycle, or cut loose) — each paired with
+    /// the finding the quarantine must report. Unchecked, they panic on
+    /// the next step, resume to a different report, or restore a state
+    /// no run can reach.
     fn misshapen_maintainer_snapshots(dir: &Path) -> (Trace, Vec<(String, RuntimeSnapshot)>) {
         use serde_json::Value;
         std::fs::create_dir_all(dir).unwrap();
@@ -2068,8 +2076,21 @@ mod tests {
             let Value::Object(fields) = value else { panic!("`{key}` sits in an object") };
             &mut fields.iter_mut().find(|(k, _)| k == key).expect("member present").1
         }
+        // Server 0's tree, and its parent links.
+        fn tree(value: &mut Value) -> &mut Value {
+            let Value::Array(trees) = member(member(value, "maintainer"), "trees") else {
+                panic!("maintainer.trees is an array")
+            };
+            &mut trees[0]
+        }
+        fn parents(value: &mut Value) -> &mut Vec<Value> {
+            let Value::Array(parents) = member(tree(value), "parent_link") else {
+                panic!("a tree's parent links are an array")
+            };
+            parents
+        }
         let mut cases = Vec::new();
-        for (field, keep) in [("failed", 3), ("costs", 10), ("trees", 2)] {
+        for (field, keep) in [("failed", 3), ("disabled", 10), ("trees", 2)] {
             let mut value = snapshot.clone();
             let Value::Array(items) = member(member(&mut value, "maintainer"), field) else {
                 panic!("maintainer.{field} is an array")
@@ -2078,8 +2099,8 @@ mod tests {
             cases.push((format!("maintainer {field} has length {keep}"), value));
         }
         // Server 0's tree re-rooted outside the graph, then at server 1.
-        let mut topology = snapshot.clone();
-        let Value::Array(servers) = member(member(&mut topology, "topology"), "servers") else {
+        let mut probe = snapshot.clone();
+        let Value::Array(servers) = member(member(&mut probe, "topology"), "servers") else {
             panic!("topology.servers is an array")
         };
         let (&Value::UInt(home), &Value::UInt(next)) = (&servers[0], &servers[1]) else {
@@ -2087,29 +2108,58 @@ mod tests {
         };
         for source in [1_000_000, next] {
             let mut value = snapshot.clone();
-            let Value::Array(trees) = member(member(&mut value, "maintainer"), "trees") else {
-                panic!("maintainer.trees is an array")
-            };
-            *member(&mut trees[0], "source") = Value::UInt(source);
+            *member(tree(&mut value), "source") = Value::UInt(source);
             let finding =
                 format!("maintainer tree 0 is rooted at node {source}, expected node {home}");
             cases.push((finding, value));
         }
-        // Server 0's tree holding a negative distance at some other node,
-        // then a non-zero distance at its own root.
-        let other = usize::from(home == 0);
-        for (node, distance) in [(other, -1.5), (home as usize, 0.5)] {
-            let mut value = snapshot.clone();
-            let Value::Array(trees) = member(member(&mut value, "maintainer"), "trees") else {
-                panic!("maintainer.trees is an array")
-            };
-            let Value::Array(dist) = member(&mut trees[0], "dist") else {
-                panic!("a tree's distances are an array")
-            };
-            dist[node] = Value::Float(distance);
-            let finding = format!("maintainer tree 0 holds distance {distance} at node {node}");
-            cases.push((finding, value));
-        }
+        // The first device, its parent link in server 0's tree, the node
+        // it hangs off there, and a link it is not on.
+        let Value::Array(iot) = member(member(&mut probe, "topology"), "iot") else {
+            panic!("topology.iot is an array")
+        };
+        let &Value::UInt(device) = &iot[0] else { panic!("node ids are unsigned") };
+        let device = device as usize;
+        let &Value::UInt(link) = &parents(&mut probe)[device] else {
+            panic!("a reached device has a parent link")
+        };
+        let Value::Array(links) = member(member(member(&mut probe, "topology"), "graph"), "links")
+        else {
+            panic!("topology.graph.links is an array")
+        };
+        let ends = |l: &Value| match (l.get("a"), l.get("b")) {
+            (Some(&Value::UInt(a)), Some(&Value::UInt(b))) => (a as usize, b as usize),
+            _ => panic!("link endpoints are unsigned"),
+        };
+        let (a, b) = ends(&links[link as usize]);
+        let up = if a == device { b } else { a };
+        let foreign = links.iter().position(|l| ends(l).0 != device && ends(l).1 != device);
+        let foreign = foreign.expect("some link misses the device");
+
+        let mut value = snapshot.clone();
+        parents(&mut value)[device] = Value::UInt(foreign as u64);
+        let finding = format!(
+            "maintainer tree 0: node {device} hangs off link {foreign}, which is not incident to it"
+        );
+        cases.push((finding, value));
+
+        let mut value = snapshot.clone();
+        let Value::Array(disabled) = member(member(&mut value, "maintainer"), "disabled") else {
+            panic!("maintainer.disabled is an array")
+        };
+        disabled[link as usize] = Value::UInt(1);
+        let finding = format!("maintainer tree 0: node {device} hangs off disabled link {link}");
+        cases.push((finding, value));
+
+        let mut value = snapshot.clone();
+        parents(&mut value)[up] = Value::UInt(link);
+        let finding = "maintainer tree 0: the parent chain from node".to_owned();
+        cases.push((finding, value));
+
+        let mut value = snapshot.clone();
+        parents(&mut value)[device] = Value::Null;
+        let finding = format!("would shorten the distance of node {device}");
+        cases.push((finding, value));
         let cases =
             cases.into_iter().map(|(f, value)| (f, serde_json::from_value(&value).unwrap()));
         (trace, cases.collect())

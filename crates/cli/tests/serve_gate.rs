@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 
 use tacc_core::workload::{Trace, TraceGenerator, TraceScenario};
 use tacc_proto::Response;
-use tacc_runtime::RuntimeConfig;
+use tacc_runtime::{RuntimeConfig, RuntimeSnapshot};
 use tacc_serve::{Client, ServeConfig, Session};
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -146,5 +146,34 @@ fn sigterm_is_a_clean_shutdown() {
     let status = child.wait().unwrap();
     assert!(status.success(), "SIGTERM exit must be clean, got {status:?}");
     assert!(!socket.exists(), "clean shutdown removes the socket file");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Under `tacc client --drive`, `--budget` is the per-Solve work budget
+/// only: the session it initializes keeps the default migration budget,
+/// whatever the Solve budget.
+#[test]
+fn a_driven_session_keeps_the_default_migration_budget() {
+    let trace = scripted_trace();
+    let dir = temp_dir("drive-budget");
+    let trace_path = dir.join("trace.json");
+    std::fs::write(&trace_path, trace.to_json()).unwrap();
+    for budget in ["0", "400"] {
+        let socket = dir.join(format!("budget-{budget}.sock"));
+        let mut child = spawn_daemon(&socket, None, false);
+        let output = Command::new(env!("CARGO_BIN_EXE_tacc"))
+            .args(["client", "--uds", socket.to_str().unwrap(), "--drive"])
+            .arg(&trace_path)
+            .args(["--burst", "50", "--solve-every", "2", "--budget", budget])
+            .args(["--snapshot", "--shutdown"])
+            .output()
+            .unwrap();
+        assert!(output.status.success(), "--budget {budget}: {output:?}");
+        let stdout = String::from_utf8(output.stdout).unwrap();
+        let line = stdout.lines().find(|l| l.starts_with("{\"version\"")).expect("a snapshot");
+        let snapshot = RuntimeSnapshot::from_json(line).unwrap();
+        assert_eq!(snapshot.config.migration_budget, 4, "--budget {budget}");
+        assert!(child.wait().unwrap().success());
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

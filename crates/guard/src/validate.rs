@@ -21,6 +21,7 @@ use std::fmt;
 use serde::Serialize;
 use tacc_gap::GapInstance;
 use tacc_runtime::RuntimeSnapshot;
+use tacc_topology::incremental::ParentFault;
 use tacc_topology::Graph;
 use tacc_workload::{event_faults, EventFault, Trace, TraceScenario};
 
@@ -147,15 +148,16 @@ pub enum ValidationIssue {
         /// The server's node in the topology.
         expected: usize,
     },
-    /// A snapshot's shortest-path tree holds a distance no tree can: NaN
-    /// or negative anywhere, or other than 0 at its root.
-    BadTreeDistance {
+    /// A snapshot's parent tree is not a shortest-path tree under the
+    /// link costs its topology and disable counts give: a parent link
+    /// not incident to its node or over a disabled link, a parent chain
+    /// that cycles or misses the source, or a link that would shorten a
+    /// rebuilt distance.
+    BadParentTree {
         /// The server whose tree it is.
         server: usize,
-        /// The node holding the distance.
-        node: usize,
-        /// The offending distance.
-        value: f64,
+        /// What keeps the tree from being rebuilt.
+        fault: ParentFault,
     },
     /// A per-device priority is non-positive or non-finite.
     BadPriority {
@@ -237,8 +239,8 @@ impl fmt::Display for ValidationIssue {
                     "maintainer tree {server} is rooted at node {found}, expected node {expected}"
                 )
             }
-            ValidationIssue::BadTreeDistance { server, node, value } => {
-                write!(f, "maintainer tree {server} holds distance {value} at node {node}")
+            ValidationIssue::BadParentTree { server, fault } => {
+                write!(f, "maintainer tree {server}: {fault}")
             }
             ValidationIssue::BadPriority { device, value } => {
                 write!(f, "device {device} has bad priority {value}")
@@ -434,15 +436,15 @@ pub fn validate_trace(trace: &Trace) -> QuarantineReport {
 /// (serde bypasses all builder checks), per-device vector lengths against
 /// the topology, assignment server indices, config priorities, and the
 /// delay maintainer's own state: its arrays' shape
-/// ([`tacc_runtime::DelayMaintainer::shape_mismatches`]), each tree's
-/// source ([`tacc_runtime::DelayMaintainer::misrooted_trees`]) and its
-/// distances ([`tacc_runtime::DelayMaintainer::bad_tree_distances`]).
-/// The snapshot carries no delay matrix; the restore reads it out of the
-/// trees this checks.
+/// ([`tacc_runtime::MaintainerSnapshot::shape_mismatches`]), each tree's
+/// source ([`tacc_runtime::MaintainerSnapshot::misrooted_trees`]) and
+/// its parents ([`tacc_runtime::MaintainerSnapshot::tree_faults`]). The
+/// snapshot carries no distances, link costs or delay matrix; the
+/// restore rebuilds them from the parent trees this checks.
 #[must_use]
 pub fn validate_snapshot(snapshot: &RuntimeSnapshot) -> QuarantineReport {
     let mut report = QuarantineReport::new("snapshot");
-    if snapshot.version != RuntimeSnapshot::FORMAT_VERSION {
+    if !RuntimeSnapshot::READ_VERSIONS.contains(&snapshot.version) {
         report.issues.push(ValidationIssue::BadVersion {
             found: snapshot.version,
             expected: RuntimeSnapshot::FORMAT_VERSION,
@@ -513,8 +515,8 @@ pub fn validate_snapshot(snapshot: &RuntimeSnapshot) -> QuarantineReport {
         let (found, expected) = (found.index(), expected.index());
         report.issues.push(ValidationIssue::MisrootedTree { server, found, expected });
     }
-    for (server, node, value) in snapshot.maintainer.bad_tree_distances() {
-        report.issues.push(ValidationIssue::BadTreeDistance { server, node, value });
+    for (server, fault) in snapshot.maintainer.tree_faults(&snapshot.topology) {
+        report.issues.push(ValidationIssue::BadParentTree { server, fault });
     }
     report
 }

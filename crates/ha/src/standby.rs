@@ -156,7 +156,8 @@ impl StandbyCore {
     /// result equals a `--recover` restart from the copy byte for byte,
     /// push seq-dedup record included. Under `TACC_CHECK=1` that
     /// recovery is also rebuilt from the file and compared first: the
-    /// runtime snapshot JSON, the events and the seq-ack must match.
+    /// runtime snapshot JSON, the delay matrix, the events and the
+    /// seq-ack must match.
     ///
     /// # Errors
     ///
@@ -205,20 +206,24 @@ impl StandbyCore {
 
 /// The recovery oracle of a checked promotion: the live replica must
 /// hand over, byte for byte, what a rebuild of the journal copy derives
-/// — the runtime snapshot JSON, the events and the seq-ack.
+/// — the runtime snapshot JSON, the cluster's delay matrix (a snapshot
+/// stores each tree's parents, not its distances), the events and the
+/// seq-ack.
 fn same_handover(replica: &JournalState, rebuilt: &JournalState) -> Result<(), ServeError> {
-    let bytes = |state: &JournalState| {
-        [
-            state.runtime().map(|runtime| runtime.snapshot().to_json()).unwrap_or_default(),
-            serde_json::to_string(state.events()).expect("events serialize"),
-            format!("{:?}", state.seq_ack()),
-        ]
+    let snapshot = |state: &JournalState| state.runtime().map(|r| r.snapshot().to_json());
+    let delays = |state: &JournalState| -> Option<Vec<u64>> {
+        state.runtime().map(|r| r.cluster().instance().delays().iter().map(f64::to_bits).collect())
     };
-    let (held, derived) = (bytes(replica), bytes(rebuilt));
-    for (what, (held, derived)) in
-        ["snapshot", "events", "seq-ack"].iter().zip(held.iter().zip(&derived))
-    {
-        if held != derived {
+    let events =
+        |state: &JournalState| serde_json::to_string(state.events()).expect("events serialize");
+    let checks = [
+        ("snapshot", snapshot(replica) == snapshot(rebuilt)),
+        ("delay matrix", delays(replica) == delays(rebuilt)),
+        ("events", events(replica) == events(rebuilt)),
+        ("seq-ack", replica.seq_ack() == rebuilt.seq_ack()),
+    ];
+    for (what, same) in checks {
+        if !same {
             return Err(ServeError::state(format!(
                 "promotion check: the live replica's {what} differs from the journal copy's rebuild"
             )));

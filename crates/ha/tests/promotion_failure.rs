@@ -7,9 +7,15 @@ use std::path::PathBuf;
 
 use tacc_chaos::journal_line_count;
 use tacc_ha::{JournalTail, StandbyCore};
-use tacc_runtime::RuntimeConfig;
+use tacc_runtime::{Runtime, RuntimeConfig};
 use tacc_serve::{ServeConfig, Session};
 use tacc_workload::{TopologyFamily, Trace, TraceGenerator, TraceScenario};
+
+/// A session's delay matrix, bit for bit: a snapshot stores each tree's
+/// parents, not its distances.
+fn delays(runtime: &Runtime) -> Vec<u64> {
+    runtime.cluster().instance().delays().iter().map(|d| d.to_bits()).collect()
+}
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("tacc-ha-promote-{name}-{}", std::process::id()));
@@ -72,8 +78,10 @@ fn a_promotion_that_fails_at_its_recovered_append_keeps_a_standby() {
             "{spec}: the copy is no longer the primary's journal"
         );
         // ...and promotes to the primary's bytes.
-        let promoted = standby.promote().unwrap().snapshot_json().unwrap();
-        assert_eq!(promoted, primary.snapshot_json().unwrap(), "{spec}: promoted state differs");
+        let mut promoted = standby.promote().unwrap();
+        let (snapshot, delays) = (promoted.snapshot_json().unwrap(), delays(promoted.runtime()));
+        assert_eq!(snapshot, primary.snapshot_json().unwrap(), "{spec}: promoted state differs");
+        assert_eq!(delays, self::delays(primary.runtime()), "{spec}: promoted delays differ");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -11,7 +11,7 @@ use tacc_chaos::{
 };
 use tacc_ha::{JournalTail, StandbyCore};
 use tacc_proto::Response;
-use tacc_runtime::RuntimeConfig;
+use tacc_runtime::{Runtime, RuntimeConfig};
 use tacc_serve::{JournalState, ServeConfig, ServeError, Session};
 use tacc_workload::{TimedEvent, TopologyFamily, Trace, TraceEvent, TraceGenerator, TraceScenario};
 
@@ -27,6 +27,16 @@ fn scripted_trace(family: TopologyFamily, seed: u64) -> Trace {
     TraceGenerator::new(scenario).num_events(48).generate(seed ^ 0x5a).unwrap()
 }
 
+/// A session's state as compared here: its snapshot JSON and its delay
+/// matrix, bit for bit — a snapshot stores each tree's parents, not its
+/// distances.
+type State = (String, Vec<u64>);
+
+/// A runtime's delay matrix, bit for bit.
+fn delays(runtime: &Runtime) -> Vec<u64> {
+    runtime.cluster().instance().delays().iter().map(|d| d.to_bits()).collect()
+}
+
 fn shell(trace: &Trace) -> Trace {
     Trace { events: Vec::new(), ..trace.clone() }
 }
@@ -34,14 +44,14 @@ fn shell(trace: &Trace) -> Trace {
 /// Drives a primary session and a standby core in-process: pushes the
 /// trace in `chunk`-sized sequenced bursts, ships every newly journaled
 /// line after each burst, promotes the standby at the end, and returns
-/// `(primary snapshot, promoted snapshot, primary journal bytes,
-/// standby journal bytes)`.
+/// `(primary state, promoted state, primary journal bytes, standby
+/// journal bytes)`.
 fn replicate_once(
     trace: &Trace,
     chunk: usize,
     dir: &Path,
     tag: &str,
-) -> (String, String, Vec<u8>, Vec<u8>) {
+) -> (State, State, Vec<u8>, Vec<u8>) {
     let primary_journal = dir.join(format!("primary-{tag}.jsonl"));
     let standby_journal = dir.join(format!("standby-{tag}.jsonl"));
     let primary_cfg =
@@ -63,7 +73,7 @@ fn replicate_once(
         }
     }
     primary.flush().unwrap();
-    let primary_snapshot = primary.snapshot_json().unwrap();
+    let primary_snapshot = (primary.snapshot_json().unwrap(), delays(primary.runtime()));
     let lines = tail.poll().unwrap();
     if !lines.is_empty() {
         shipped = standby.apply(shipped, &lines).unwrap();
@@ -75,7 +85,7 @@ fn replicate_once(
     assert_eq!(standby.lines(), shipped);
 
     let mut promoted = standby.promote().unwrap();
-    let promoted_snapshot = promoted.snapshot_json().unwrap();
+    let promoted_snapshot = (promoted.snapshot_json().unwrap(), delays(promoted.runtime()));
     (primary_snapshot, promoted_snapshot, primary_bytes, standby_bytes)
 }
 
@@ -175,8 +185,8 @@ fn a_line_the_replica_cannot_step_is_journaled_once() {
 /// pending and is recovered from its own journal after two bursts, and
 /// ships every durable line. The standby promotes with the last burst
 /// still unflushed on the primary, and the promoted session must equal
-/// the rebuild of the standby's journal copy: snapshot JSON, events and
-/// seq-dedup record.
+/// the rebuild of the standby's journal copy: snapshot JSON, delay
+/// matrix, events and seq-dedup record.
 fn assert_handover_equals_rebuild(
     family: TopologyFamily,
     seed: u64,
@@ -240,6 +250,9 @@ fn assert_handover_equals_rebuild(
         "{case}: promoted snapshot differs from the rebuild"
     );
     assert_eq!(promoted_snapshot, primary.snapshot_json().unwrap(), "{case}: primary differs");
+    let promoted_delays = delays(promoted.runtime());
+    assert_eq!(promoted_delays, delays(rebuilt.runtime().unwrap()), "{case}: rebuilt delays");
+    assert_eq!(promoted_delays, delays(primary.runtime()), "{case}: primary delays");
 
     // The dedup record: re-sending the last acknowledged burst under its
     // seq is answered from the record and journals nothing.
@@ -294,8 +307,9 @@ fn promoting_before_the_session_scenario_is_a_typed_error() {
 
     // Still a standby: the rest of the journal ships and promotes.
     assert_eq!(standby.apply(1, &lines[1..]).unwrap(), lines.len() as u64);
-    let promoted = standby.promote().unwrap().snapshot_json().unwrap();
-    assert_eq!(promoted, primary.snapshot_json().unwrap());
+    let mut promoted = standby.promote().unwrap();
+    assert_eq!(promoted.snapshot_json().unwrap(), primary.snapshot_json().unwrap());
+    assert_eq!(delays(promoted.runtime()), delays(primary.runtime()));
     std::fs::remove_dir_all(&dir).ok();
 }
 

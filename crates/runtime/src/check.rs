@@ -7,13 +7,15 @@
 //! release CI: set `TACC_CHECK=1` in the environment and
 //! [`crate::Runtime::step`] verifies the cheap invariants after *every*
 //! event and the expensive ones (full shortest-path recompute, snapshot
-//! JSON round-trip) on a sampled cadence. Violations surface as typed
+//! JSON round-trip, the maintainer rebuilt from the snapshot's parent
+//! trees) on a sampled cadence. Violations surface as typed
 //! [`crate::RuntimeError::Invariant`] errors, never panics, so harnesses
 //! can report them.
 //!
-//! The `DelayMaintainer`'s per-repair tree oracle honours the same
+//! The `DelayMaintainer`'s per-repair tree oracles honour the same
 //! switch: with `TACC_CHECK=1` every incremental repair is compared
-//! against a from-scratch Dijkstra even in release builds.
+//! against a from-scratch Dijkstra, and every repaired tree's distances
+//! against its parent sums, even in release builds.
 
 use std::sync::OnceLock;
 

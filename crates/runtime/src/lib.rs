@@ -79,7 +79,7 @@ mod snapshot;
 
 pub use check::InvariantChecker;
 pub use error::RuntimeError;
-pub use maintainer::DelayMaintainer;
+pub use maintainer::{DelayMaintainer, MaintainerSnapshot};
 pub use metrics::{CoreMetrics, EventCounts, LatencyHistogram, RuntimeMetrics};
 pub use runtime::{DeviceState, ReassignPolicy, Runtime, RuntimeConfig};
 pub use snapshot::RuntimeSnapshot;

@@ -9,10 +9,18 @@
 //! ([`DelayMaintainer::delay`]) and patches its cluster's instance, the
 //! one materialized delay matrix. Debug builds — and release builds
 //! running under `TACC_CHECK=1`, see [`crate::check`] — assert after
-//! every repair that each tree agrees with a from-scratch Dijkstra. The
-//! full-recompute fallback rebuilds every tree on every change, reports
-//! every entry, and serves as the correctness oracle and worst-case
-//! bound.
+//! every repair that each tree agrees with a from-scratch Dijkstra, and
+//! that each distance is its parent's plus the parent link's cost, bit
+//! for bit. The full-recompute fallback rebuilds every tree on every
+//! change, reports every entry, and serves as the correctness oracle and
+//! worst-case bound.
+//!
+//! A snapshot keeps only what the rest derives from
+//! ([`MaintainerSnapshot`]): each tree's source and parent links, the
+//! per-link disable counts, the failed servers and the savings baseline.
+//! [`DelayMaintainer::restore`] rebuilds the link costs from the
+//! topology and the distances from the parents, refusing any parent
+//! tree that is not a shortest-path tree under those costs.
 //!
 //! Server failure is modeled as *node* failure (matching
 //! [`tacc_topology::Topology::with_failed_node`]): every link incident to
@@ -22,14 +30,17 @@
 //! endpoints must both recover before the link carries traffic again.
 
 use serde::{Deserialize, Serialize};
-use tacc_topology::incremental::{SsspTree, UpdateStats};
+use tacc_topology::incremental::{ParentFault, ParentTree, SsspTree, UpdateStats};
 use tacc_topology::{DelayMatrix, DelayModel, LinkId, NodeId, Topology};
 
+use crate::RuntimeError;
+
 /// Maintains per-server shortest-path trees across topology changes;
-/// the delays are read out of them. Serializes as part of runtime
-/// snapshots; the restored value is field-for-field identical, so
-/// resumed runs repair the exact same tree structures.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// the delays are read out of them. A snapshot stores it as a
+/// [`MaintainerSnapshot`], and [`DelayMaintainer::restore`] rebuilds a
+/// field-for-field identical maintainer from that, so resumed runs
+/// repair the exact same tree structures.
+#[derive(Debug, Clone, PartialEq)]
 pub struct DelayMaintainer {
     model: DelayModel,
     /// Per-link cost under `model` with the link's *current* latency,
@@ -49,6 +60,101 @@ pub struct DelayMaintainer {
     /// Work of one full rebuild of all trees (measured at construction) —
     /// the baseline that incremental savings are reported against.
     baseline: UpdateStats,
+}
+
+/// The stored form of a [`DelayMaintainer`]: everything but the
+/// distances and the two link-cost arrays, which the topology and the
+/// parents determine. Its members are private, so the only way back to
+/// a maintainer is the validating [`DelayMaintainer::restore`]. It
+/// serializes as the maintainer's members in their order, each tree as
+/// its `source` and `parent_link`; a serialized maintainer that still
+/// carries `base_costs`, `costs`, the trees' `dist` or a `matrix` reads
+/// the same, because unknown members are ignored.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct MaintainerSnapshot {
+    model: DelayModel,
+    disabled: Vec<u32>,
+    trees: Vec<ParentTree>,
+    failed: Vec<bool>,
+    full_mode: bool,
+    baseline: UpdateStats,
+}
+
+impl MaintainerSnapshot {
+    /// Where this snapshot's shape disagrees with `topology`, as `(what,
+    /// found, expected)` lengths: `disabled` against the link count,
+    /// `failed` and `trees` against the server count, and every tree's
+    /// parent links against the node count. Empty for any snapshot a
+    /// maintainer over `topology` took; a deserialized one that
+    /// disagrees cannot be rebuilt, so snapshot quarantine reports these
+    /// and [`DelayMaintainer::restore`] refuses them.
+    pub fn shape_mismatches(&self, topology: &Topology) -> Vec<(&'static str, usize, usize)> {
+        let graph = topology.graph();
+        let (links, nodes) = (graph.link_count(), graph.node_count());
+        let mut lengths = vec![
+            ("maintainer disabled", self.disabled.len(), links),
+            ("maintainer failed", self.failed.len(), topology.num_servers()),
+            ("maintainer trees", self.trees.len(), topology.num_servers()),
+        ];
+        for tree in &self.trees {
+            lengths.push(("maintainer tree parent links", tree.node_count(), nodes));
+        }
+        lengths.retain(|&(_, found, expected)| found != expected);
+        lengths
+    }
+
+    /// The trees not rooted at their server's node, as `(server, found,
+    /// expected)`: tree `j` must grow from `topology.server_nodes()[j]`.
+    /// Empty for any snapshot a maintainer over `topology` took. A tree
+    /// with another source would rebuild and repair from the wrong node
+    /// (or out of the graph), so quarantine reports these and
+    /// [`DelayMaintainer::restore`] refuses them.
+    pub fn misrooted_trees(&self, topology: &Topology) -> Vec<(usize, NodeId, NodeId)> {
+        self.trees
+            .iter()
+            .zip(topology.server_nodes())
+            .enumerate()
+            .filter(|(_, (tree, &node))| tree.source() != node)
+            .map(|(server, (tree, &node))| (server, tree.source(), node))
+            .collect()
+    }
+
+    /// The parent trees that are not shortest-path trees under this
+    /// snapshot's costs over `topology`, as `(server, fault)` — what
+    /// [`DelayMaintainer::restore`] refuses, one finding per tree. Trees
+    /// the other findings already rule out (any shape mismatch, a
+    /// misrooted tree, a server node outside the graph) are not rebuilt.
+    pub fn tree_faults(&self, topology: &Topology) -> Vec<(usize, ParentFault)> {
+        let graph = topology.graph();
+        if !self.shape_mismatches(topology).is_empty() {
+            return Vec::new();
+        }
+        let (_, costs) = self.link_costs(topology);
+        self.trees
+            .iter()
+            .zip(topology.server_nodes())
+            .enumerate()
+            .filter(|(_, (tree, &node))| tree.source() == node && node.index() < graph.node_count())
+            .filter_map(|(server, (tree, _))| {
+                SsspTree::from_parents(graph, &costs, tree).err().map(|fault| (server, fault))
+            })
+            .collect()
+    }
+
+    /// The base and effective per-link costs over `topology`: each
+    /// link's cost under the model at its current latency (the value
+    /// [`DelayMaintainer::drift`] writes), and that cost or `∞` while the
+    /// link is disabled.
+    fn link_costs(&self, topology: &Topology) -> (Vec<f64>, Vec<f64>) {
+        let base: Vec<f64> =
+            topology.graph().links().map(|(_, link)| self.model.link_delay_ms(link)).collect();
+        let costs = base
+            .iter()
+            .zip(&self.disabled)
+            .map(|(&cost, &disabled)| if disabled > 0 { f64::INFINITY } else { cost })
+            .collect();
+        (base, costs)
+    }
 }
 
 impl DelayMaintainer {
@@ -100,9 +206,7 @@ impl DelayMaintainer {
     ///
     /// # Panics
     ///
-    /// Panics if the maintainer's trees do not fit `topology`
-    /// ([`DelayMaintainer::shape_mismatches`] is non-empty) or hold a
-    /// negative or NaN distance at an IoT node.
+    /// Panics if `topology` is not the one the maintainer runs over.
     pub fn delay_matrix(&self, topology: &Topology) -> DelayMatrix {
         let rows: Vec<Vec<f64>> = topology
             .iot_nodes()
@@ -149,69 +253,74 @@ impl DelayMaintainer {
         &self.costs
     }
 
-    /// Where this maintainer's shape disagrees with `topology`, as
-    /// `(what, found, expected)` lengths: the per-link `base_costs`,
-    /// `costs` and `disabled` against the link count, `failed` and
-    /// `trees` against the server count, and every tree against the node
-    /// count. Empty for any maintainer [`DelayMaintainer::new`] built
-    /// over `topology`; a deserialized one that disagrees would index out
-    /// of bounds when its delays are read or on the next step, so
-    /// snapshot quarantine reports these before a restore, and the
-    /// restore itself refuses them.
-    pub fn shape_mismatches(&self, topology: &Topology) -> Vec<(&'static str, usize, usize)> {
-        let graph = topology.graph();
-        let (links, nodes) = (graph.link_count(), graph.node_count());
-        let mut lengths = vec![
-            ("maintainer base_costs", self.base_costs.len(), links),
-            ("maintainer costs", self.costs.len(), links),
-            ("maintainer disabled", self.disabled.len(), links),
-            ("maintainer failed", self.failed.len(), topology.num_servers()),
-            ("maintainer trees", self.trees.len(), topology.num_servers()),
-        ];
-        for tree in &self.trees {
-            let (distances, parents) = tree.node_lengths();
-            lengths.push(("maintainer tree distances", distances, nodes));
-            lengths.push(("maintainer tree parent links", parents, nodes));
+    /// The stored form of this maintainer: what a snapshot keeps of it.
+    pub fn snapshot(&self) -> MaintainerSnapshot {
+        MaintainerSnapshot {
+            model: self.model.clone(),
+            disabled: self.disabled.clone(),
+            trees: self.trees.iter().map(SsspTree::parents).collect(),
+            failed: self.failed.clone(),
+            full_mode: self.full_mode,
+            baseline: self.baseline,
         }
-        lengths.retain(|&(_, found, expected)| found != expected);
-        lengths
     }
 
-    /// The trees not rooted at their server's node, as `(server, found,
-    /// expected)`: tree `j` must grow from `topology.server_nodes()[j]`.
-    /// Empty for any maintainer [`DelayMaintainer::new`] built over
-    /// `topology`. A deserialized tree with another source passes every
-    /// length check, then repairs and rebuilds from the wrong node (or
-    /// out of the graph), so snapshot quarantine reports these too.
-    pub fn misrooted_trees(&self, topology: &Topology) -> Vec<(usize, NodeId, NodeId)> {
-        self.trees
+    /// Rebuilds the maintainer a snapshot was taken of, over the
+    /// snapshot's `topology`: the base costs are the model's cost of each
+    /// link at its current latency, the effective costs follow from the
+    /// disable counts, and each tree's distances are summed along its
+    /// parents in tree order ([`SsspTree::from_parents`]) — the same
+    /// additions, so the same bits, as the maintainer the snapshot was
+    /// taken of.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::InvalidSnapshot`] for the first
+    /// [`MaintainerSnapshot::shape_mismatches`] or
+    /// [`MaintainerSnapshot::misrooted_trees`] finding, and for a tree
+    /// whose parents are not a shortest-path tree under the rebuilt
+    /// costs ([`MaintainerSnapshot::tree_faults`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a server node of `topology` is not a node of its graph
+    /// ([`crate::Runtime::restore`] checks the nodes against the
+    /// scenario's first).
+    pub fn restore(
+        snapshot: &MaintainerSnapshot,
+        topology: &Topology,
+    ) -> Result<DelayMaintainer, RuntimeError> {
+        let invalid = |reason: String| RuntimeError::InvalidSnapshot { reason };
+        if let Some((what, found, expected)) = snapshot.shape_mismatches(topology).first() {
+            return Err(invalid(format!("{what} has length {found}, expected {expected}")));
+        }
+        if let Some((server, found, expected)) = snapshot.misrooted_trees(topology).first() {
+            return Err(invalid(format!(
+                "maintainer tree {server} is rooted at node {}, expected node {}",
+                found.index(),
+                expected.index()
+            )));
+        }
+        let (base_costs, costs) = snapshot.link_costs(topology);
+        let trees = snapshot
+            .trees
             .iter()
-            .zip(topology.server_nodes())
             .enumerate()
-            .filter(|(_, (tree, &node))| tree.source() != node)
-            .map(|(server, (tree, &node))| (server, tree.source(), node))
-            .collect()
-    }
-
-    /// The distances no shortest-path tree can hold, as `(server, node
-    /// index, distance)`: a NaN or negative distance at any node of tree
-    /// `server`, and a root distance other than 0. Empty for any
-    /// maintainer [`DelayMaintainer::new`] built. A deserialized tree
-    /// carrying one passes the shape and root checks, and the next
-    /// repair that reaches an IoT row writes it into the cluster's
-    /// delays, which refuse it with a panic; snapshot quarantine
-    /// reports these before a restore.
-    pub fn bad_tree_distances(&self) -> Vec<(usize, usize, f64)> {
-        let mut bad = Vec::new();
-        for (server, tree) in self.trees.iter().enumerate() {
-            let root = tree.source().index();
-            for (node, &d) in tree.distances().iter().enumerate() {
-                if d.is_nan() || d < 0.0 || (node == root && d != 0.0) {
-                    bad.push((server, node, d));
-                }
-            }
-        }
-        bad
+            .map(|(server, tree)| {
+                SsspTree::from_parents(topology.graph(), &costs, tree)
+                    .map_err(|fault| invalid(format!("maintainer tree {server}: {fault}")))
+            })
+            .collect::<Result<Vec<SsspTree>, RuntimeError>>()?;
+        Ok(DelayMaintainer {
+            model: snapshot.model.clone(),
+            base_costs,
+            disabled: snapshot.disabled.clone(),
+            costs,
+            trees,
+            failed: snapshot.failed.clone(),
+            full_mode: snapshot.full_mode,
+            baseline: snapshot.baseline,
+        })
     }
 
     /// Applies a latency drift that the caller has already written into
@@ -337,29 +446,46 @@ impl DelayMaintainer {
     ) -> UpdateStats {
         let graph = topology.graph();
         let iot = topology.iot_nodes();
+        // The oracles run always in debug builds, and in release builds
+        // when TACC_CHECK=1 — so a repair bug cannot hide behind
+        // `--release` (see `crate::check`).
+        let checked = cfg!(debug_assertions) || crate::check::enabled();
         let mut touched = Vec::new();
         let mut total = UpdateStats::default();
         for (column, tree) in self.trees.iter_mut().enumerate() {
             if self.full_mode {
                 total.absorb(tree.rebuild(graph, &self.costs));
-                continue;
+            } else {
+                total.absorb(tree.apply_cost_change(
+                    graph,
+                    &self.costs,
+                    link,
+                    old_cost,
+                    &mut touched,
+                ));
+                if checked {
+                    assert!(
+                        tree.matches_full(graph, &self.costs),
+                        "incremental repair diverged from full Dijkstra for server at {:?}",
+                        tree.source()
+                    );
+                }
+                // Routers and servers have no row; only IoT nodes do.
+                for node in &touched {
+                    if let Ok(row) = iot.binary_search(node) {
+                        changed.push((row, column));
+                    }
+                }
             }
-            total.absorb(tree.apply_cost_change(graph, &self.costs, link, old_cost, &mut touched));
-            // The full-recompute oracle: always in debug builds, and
-            // in release builds when TACC_CHECK=1 — so an
-            // incremental-repair drift bug cannot hide behind
-            // `--release` (see `crate::check`).
-            if cfg!(debug_assertions) || crate::check::enabled() {
-                assert!(
-                    tree.matches_full(graph, &self.costs),
-                    "incremental repair diverged from full Dijkstra for server at {:?}",
-                    tree.source()
-                );
-            }
-            // Routers and servers have no row; only IoT nodes do.
-            for node in &touched {
-                if let Ok(row) = iot.binary_search(node) {
-                    changed.push((row, column));
+            // What a restore rests on: the parents and costs alone give
+            // back every distance.
+            if checked {
+                if let Some(node) = tree.parent_sum_mismatch(graph, &self.costs) {
+                    panic!(
+                        "tree of server at {:?}: distance at {node:?} is not its parent's plus \
+                         the parent link's cost",
+                        tree.source()
+                    );
                 }
             }
         }
@@ -467,13 +593,20 @@ mod tests {
     #[test]
     fn built_and_repaired_trees_hold_no_bad_distance() {
         for full_mode in [false, true] {
-            let topo = topology();
+            let mut topo = topology();
             let mut maintainer = DelayMaintainer::new(&topo, DelayModel::default(), full_mode);
-            assert!(maintainer.bad_tree_distances().is_empty());
-            // A failed server's tree reaches nothing but keeps its root at 0.
+            assert!(maintainer.snapshot().tree_faults(&topo).is_empty());
+            // A failed server's tree reaches nothing but its own node.
             maintainer.fail_server(&topo, 0, &mut Vec::new());
             maintainer.fail_server(&topo, 2, &mut Vec::new());
-            assert!(maintainer.bad_tree_distances().is_empty(), "full mode {full_mode}");
+            let link = topo.graph().link_id(5);
+            topo.set_link_latency(link, 0.25).unwrap();
+            maintainer.drift(&topo, link, &mut Vec::new());
+            assert!((0..topo.num_iot()).all(|i| maintainer.delay(&topo, i, 2).is_infinite()));
+            let snapshot = maintainer.snapshot();
+            assert!(snapshot.tree_faults(&topo).is_empty(), "full mode {full_mode}");
+            let restored = DelayMaintainer::restore(&snapshot, &topo).unwrap();
+            assert_eq!(restored, maintainer, "full mode {full_mode}");
         }
     }
 
@@ -611,9 +744,43 @@ mod tests {
         maintainer.drift(&topo, link, &mut Vec::new());
         maintainer.fail_server(&topo, 3, &mut Vec::new());
 
-        let json = serde_json::to_string(&maintainer).unwrap();
-        let value = serde_json::from_str(&json).unwrap();
-        let back: DelayMaintainer = serde_json::from_value(&value).unwrap();
-        assert_eq!(maintainer, back);
+        let json = serde_json::to_string(&maintainer.snapshot()).unwrap();
+        for derived in ["\"dist\"", "\"costs\"", "\"base_costs\""] {
+            assert!(!json.contains(derived), "{derived} is derived, not stored");
+        }
+        let back: MaintainerSnapshot = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, maintainer.snapshot());
+        assert_eq!(DelayMaintainer::restore(&back, &topo).unwrap(), maintainer);
+    }
+
+    #[test]
+    fn restore_refuses_a_parent_tree_that_is_not_shortest() {
+        let topo = topology();
+        let maintainer = DelayMaintainer::new(&topo, DelayModel::default(), false);
+        let json = serde_json::to_string(&maintainer.snapshot()).unwrap();
+        // Server 1's tree with its first IoT node's parent entry dropped:
+        // the node is reachable, so a link shortens its rebuilt distance.
+        let mut value: serde_json::Value = serde_json::from_str(&json).unwrap();
+        let iot = topo.iot_nodes()[0].index();
+        let serde_json::Value::Object(fields) = &mut value else { panic!("an object") };
+        let (_, serde_json::Value::Array(trees)) =
+            fields.iter_mut().find(|(k, _)| k == "trees").unwrap()
+        else {
+            panic!("trees are an array")
+        };
+        let serde_json::Value::Object(tree) = &mut trees[1] else { panic!("a tree is an object") };
+        let (_, serde_json::Value::Array(parents)) =
+            tree.iter_mut().find(|(k, _)| k == "parent_link").unwrap()
+        else {
+            panic!("parent links are an array")
+        };
+        parents[iot] = serde_json::Value::Null;
+        let edited: MaintainerSnapshot = serde_json::from_value(&value).unwrap();
+        let faults = edited.tree_faults(&topo);
+        assert_eq!(faults.len(), 1);
+        assert_eq!(faults[0].0, 1);
+        assert!(matches!(faults[0].1, ParentFault::Shortcut { node, .. } if node.index() == iot));
+        let err = DelayMaintainer::restore(&edited, &topo).unwrap_err();
+        assert!(err.to_string().contains("maintainer tree 1: link"), "got: {err}");
     }
 }

@@ -798,6 +798,15 @@ impl Runtime {
                     return fail(format!("snapshot does not survive its own JSON: {e}"));
                 }
             }
+            // The snapshot stores parents only: they must rebuild every
+            // distance and cost this runtime holds.
+            match DelayMaintainer::restore(&snapshot.maintainer, &self.topology) {
+                Ok(rebuilt) if rebuilt == self.maintainer => {}
+                Ok(_) => {
+                    return fail("the snapshot's parent trees rebuild other delays".to_owned());
+                }
+                Err(e) => return fail(format!("the snapshot's parent trees do not rebuild: {e}")),
+            }
         }
         Ok(())
     }
@@ -841,7 +850,7 @@ impl Runtime {
             scenario: self.scenario.clone(),
             config: self.config.clone(),
             topology: self.topology.clone(),
-            maintainer: self.maintainer.clone(),
+            maintainer: self.maintainer.snapshot(),
             assignment: self.cluster.assignment().clone(),
             wanted: self.wanted.clone(),
             unreachable: self.unreachable.clone(),
@@ -853,24 +862,22 @@ impl Runtime {
 
     /// Rebuilds a runtime from a snapshot plus the trace it was taken
     /// from (the trace supplies what the snapshot deliberately omits:
-    /// demands and capacities, which never change). The cluster's delay
-    /// matrix is read out of the restored trees.
+    /// demands and capacities, which never change). The delay maintainer
+    /// is rebuilt from the snapshot's topology and parent trees
+    /// ([`DelayMaintainer::restore`]), and the cluster's delay matrix is
+    /// read out of the rebuilt trees.
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::InvalidSnapshot`] for version or shape
-    /// mismatches with the trace's scenario, and for maintainer arrays
-    /// that do not fit the snapshot's topology
-    /// ([`DelayMaintainer::shape_mismatches`]).
+    /// Returns [`RuntimeError::InvalidSnapshot`] for a format version
+    /// this build does not read, shape mismatches with the trace's
+    /// scenario, and a maintainer that does not rebuild over the
+    /// snapshot's topology: arrays that do not fit it, a misrooted tree,
+    /// or parents that are not a shortest-path tree under the rebuilt
+    /// link costs.
     pub fn restore(snapshot: RuntimeSnapshot, trace: &Trace) -> Result<Runtime, RuntimeError> {
-        if snapshot.version != RuntimeSnapshot::FORMAT_VERSION {
-            return Err(RuntimeError::InvalidSnapshot {
-                reason: format!(
-                    "snapshot format version {} (this build reads {})",
-                    snapshot.version,
-                    RuntimeSnapshot::FORMAT_VERSION
-                ),
-            });
+        if !RuntimeSnapshot::READ_VERSIONS.contains(&snapshot.version) {
+            return Err(RuntimeSnapshot::unread_version(snapshot.version));
         }
         trace.validate()?;
         if let Some(snapped) = &snapshot.scenario {
@@ -921,19 +928,12 @@ impl Runtime {
                 reason: "snapshot unreachable set does not match the scenario".to_owned(),
             });
         }
-        // The cluster's matrix is read out of the trees, so their shape
-        // must fit the topology first; quarantine reports the same findings.
-        if let Some((what, found, expected)) =
-            snapshot.maintainer.shape_mismatches(&snapshot.topology).first()
-        {
-            return Err(RuntimeError::InvalidSnapshot {
-                reason: format!("{what} has length {found}, expected {expected}"),
-            });
-        }
+        // Quarantine reports the same findings the rebuild refuses.
+        let maintainer = DelayMaintainer::restore(&snapshot.maintainer, &snapshot.topology)?;
         let mut instance = scenario.instance().clone();
         for device in 0..n {
             for server in 0..instance.num_servers() {
-                let delay = snapshot.maintainer.delay(&snapshot.topology, device, server);
+                let delay = maintainer.delay(&snapshot.topology, device, server);
                 instance.set_delay(device, server, delay)?;
             }
         }
@@ -943,7 +943,7 @@ impl Runtime {
             config: snapshot.config,
             scenario: snapshot.scenario,
             topology: snapshot.topology,
-            maintainer: snapshot.maintainer,
+            maintainer,
             cluster,
             priorities,
             wanted: snapshot.wanted,
@@ -1031,6 +1031,8 @@ mod tests {
             serde_json::to_string(&resumed.report_json(false)).unwrap()
         );
         assert_eq!(whole.snapshot(), resumed.snapshot());
+        // The snapshot stores tree parents: compare distances and costs too.
+        assert_eq!(format!("{:?}", whole.maintainer()), format!("{:?}", resumed.maintainer()));
     }
 
     #[test]
@@ -1143,6 +1145,7 @@ mod tests {
         let mut b = Runtime::from_trace(&trace, config).unwrap();
         b.run(&trace).unwrap();
         assert_eq!(a.snapshot(), b.snapshot());
+        assert_eq!(format!("{:?}", a.maintainer()), format!("{:?}", b.maintainer()));
     }
 
     #[test]

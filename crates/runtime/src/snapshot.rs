@@ -2,19 +2,24 @@
 //!
 //! A [`RuntimeSnapshot`] captures everything [`crate::Runtime`] needs to
 //! resume a trace replay bit-for-bit: the configuration, the drifted
-//! topology, the delay-maintenance state (per-server shortest-path
-//! trees, link costs, disabled links, failures), the assignment, the
-//! degradation sets (wanted and unreachable devices), and the
-//! deterministic metrics. Derived data is deliberately *not* stored:
-//! demands and capacities never change, so the restore path re-derives
-//! them from the trace's scenario, and the delay matrix is read out of
-//! the restored trees. A snapshot that still carries the maintainer's
-//! old `matrix` member restores the same way; the member is ignored.
+//! topology, the delay-maintenance state (each server's shortest-path
+//! tree as its source and parent links, the per-link disable counts and
+//! the failures), the assignment, the degradation sets (wanted and
+//! unreachable devices), and the deterministic metrics. Derived data is
+//! deliberately *not* stored: demands and capacities never change, so
+//! the restore path re-derives them from the trace's scenario; the link
+//! costs follow from the topology and the disable counts, the tree
+//! distances from the costs and the parents, and the delay matrix is
+//! read out of the rebuilt trees.
 //!
-//! Format version 2 adds the trace scenario (so restore can reject a
-//! snapshot replayed against the wrong trace) and the unreachable set
-//! (partition/degradation state). Version-1 snapshots are rejected with
-//! a typed error naming both versions.
+//! Format version 3 stores the trees as parents only. Version-2
+//! snapshots, which also carry the tree distances, both link-cost arrays
+//! and possibly the maintainer's old `matrix` member, restore through
+//! the same code: those members are ignored. Version 2 added the trace
+//! scenario (so restore can reject a snapshot replayed against the wrong
+//! trace) and the unreachable set (partition/degradation state).
+//! Version-1 snapshots are rejected with a typed error naming the
+//! versions this build reads.
 
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
@@ -22,7 +27,7 @@ use tacc_gap::Assignment;
 use tacc_topology::Topology;
 use tacc_workload::TraceScenario;
 
-use crate::maintainer::DelayMaintainer;
+use crate::maintainer::MaintainerSnapshot;
 use crate::metrics::CoreMetrics;
 use crate::runtime::RuntimeConfig;
 use crate::RuntimeError;
@@ -42,10 +47,12 @@ pub struct RuntimeSnapshot {
     pub config: RuntimeConfig,
     /// The topology including all applied latency drifts.
     pub topology: Topology,
-    /// Delay-maintenance state: shortest-path trees, link costs, link
-    /// disable refcounts, failed servers and the savings baseline. The
-    /// delay matrix is read out of the trees on restore.
-    pub maintainer: DelayMaintainer,
+    /// Delay-maintenance state: each shortest-path tree's source and
+    /// parent links, the link disable refcounts, failed servers and the
+    /// savings baseline. Restore rebuilds the link costs and distances
+    /// from these and the topology, and reads the delay matrix out of
+    /// the rebuilt trees.
+    pub maintainer: MaintainerSnapshot,
     /// The device → server assignment at the snapshot point.
     pub assignment: Assignment,
     /// Which devices want service (shed and unreachable devices stay
@@ -66,8 +73,25 @@ pub struct RuntimeSnapshot {
 }
 
 impl RuntimeSnapshot {
-    /// The snapshot format this build writes and reads.
-    pub const FORMAT_VERSION: u32 = 2;
+    /// The snapshot format this build writes.
+    pub const FORMAT_VERSION: u32 = 3;
+
+    /// The snapshot formats this build reads: version 2's extra
+    /// members (tree distances, link-cost arrays, the delay matrix) are
+    /// ignored.
+    pub const READ_VERSIONS: [u32; 2] = [2, RuntimeSnapshot::FORMAT_VERSION];
+
+    /// The typed refusal of a snapshot in a format this build does not
+    /// read.
+    pub(crate) fn unread_version(version: impl std::fmt::Display) -> RuntimeError {
+        let [oldest, newest] = RuntimeSnapshot::READ_VERSIONS;
+        RuntimeError::InvalidSnapshot {
+            reason: format!(
+                "snapshot format version {version} (this build reads versions {oldest} and \
+                 {newest})"
+            ),
+        }
+    }
 
     /// Serializes the snapshot to deterministic, compact JSON — the same
     /// bytes a journal `Snapshot` record carries, so a `--snapshot-out`
@@ -90,14 +114,8 @@ impl RuntimeSnapshot {
             RuntimeError::InvalidSnapshot { reason: format!("malformed JSON: {e}") }
         })?;
         if let Some(Value::UInt(version)) = value.get("version") {
-            if *version != u64::from(RuntimeSnapshot::FORMAT_VERSION) {
-                return Err(RuntimeError::InvalidSnapshot {
-                    reason: format!(
-                        "snapshot format version {} (this build reads {})",
-                        version,
-                        RuntimeSnapshot::FORMAT_VERSION
-                    ),
-                });
+            if !RuntimeSnapshot::READ_VERSIONS.iter().any(|&v| u64::from(v) == *version) {
+                return Err(RuntimeSnapshot::unread_version(version));
             }
         }
         serde_json::from_value(&value)
@@ -125,12 +143,12 @@ mod tests {
             panic!("expected InvalidSnapshot, got {err:?}");
         };
         assert!(reason.contains("version 1"), "got: {reason}");
-        assert!(reason.contains("reads 2"), "got: {reason}");
+        assert!(reason.contains("reads versions 2 and 3"), "got: {reason}");
     }
 
     #[test]
     fn shape_mismatch_is_a_typed_error() {
-        let err = RuntimeSnapshot::from_json(r#"{"version": 2}"#).unwrap_err();
+        let err = RuntimeSnapshot::from_json(r#"{"version": 3}"#).unwrap_err();
         assert!(matches!(err, RuntimeError::InvalidSnapshot { .. }));
     }
 }

@@ -140,6 +140,8 @@ fn snapshot_restore_preserves_in_flight_degradation_byte_identically() {
     let mut resumed = restored;
     resumed.run(&trace).unwrap();
     assert_eq!(whole.snapshot(), resumed.snapshot());
+    // The snapshot stores tree parents: compare distances and costs too.
+    assert_eq!(format!("{:?}", whole.maintainer()), format!("{:?}", resumed.maintainer()));
     assert_eq!(
         serde_json::to_string(&whole.report_json(false)).unwrap(),
         serde_json::to_string(&resumed.report_json(false)).unwrap()
@@ -212,19 +214,28 @@ fn member<'a>(value: &'a mut Value, key: &str) -> &'a mut Value {
     &mut fields.iter_mut().find(|(k, _)| k == key).expect("member present").1
 }
 
-/// The distances of a snapshot's first shortest-path tree.
-fn first_tree_distances(value: &mut Value) -> &mut Vec<Value> {
+/// A snapshot's first shortest-path tree.
+fn first_tree(value: &mut Value) -> &mut Value {
     let Value::Array(trees) = member(member(value, "maintainer"), "trees") else {
         panic!("maintainer.trees is an array")
     };
-    let Value::Array(dist) = member(&mut trees[0], "dist") else { panic!("dist is an array") };
-    dist
+    &mut trees[0]
 }
 
-/// Restore reads the cluster's delays out of the snapshot's trees, so a
-/// snapshot that no quarantine saw gets a typed error, not a panic, when
-/// a tree does not fit the topology, holds a negative delay, or the
-/// topology's nodes are not the scenario's.
+/// The parent links of a snapshot's first shortest-path tree.
+fn first_tree_parents(value: &mut Value) -> &mut Vec<Value> {
+    let Value::Array(parents) = member(first_tree(value), "parent_link") else {
+        panic!("parent_link is an array")
+    };
+    parents
+}
+
+/// Restore rebuilds the delay maintainer from the snapshot's parent
+/// trees and reads the cluster's delays out of it, so a snapshot that no
+/// quarantine saw gets a typed error, not a panic, when a tree does not
+/// fit the topology, grows from a node outside it, hangs a node off a
+/// link that does not exist, or the topology's nodes are not the
+/// scenario's.
 #[test]
 fn restore_refuses_trees_it_cannot_read() {
     let trace = total_outage_trace();
@@ -246,13 +257,20 @@ fn restore_refuses_trees_it_cannot_read() {
     let device_node = usize::try_from(device_node).unwrap();
 
     let err = restore(&|value| {
-        first_tree_distances(value).pop();
+        first_tree_parents(value).pop();
     });
     let RuntimeError::InvalidSnapshot { reason } = &err else { panic!("got {err:?}") };
-    assert!(reason.contains("maintainer tree distances has length"), "got: {reason}");
+    assert!(reason.contains("maintainer tree parent links has length"), "got: {reason}");
 
-    let err = restore(&|value| first_tree_distances(value)[device_node] = Value::Float(-1.0));
-    assert!(matches!(err, RuntimeError::Gap(_)), "got {err:?}");
+    let err = restore(&|value| *member(first_tree(value), "source") = Value::UInt(1_000_000));
+    let RuntimeError::InvalidSnapshot { reason } = &err else { panic!("got {err:?}") };
+    assert!(reason.contains("maintainer tree 0 is rooted at node 1000000"), "got: {reason}");
+
+    let err = restore(&|value| first_tree_parents(value)[device_node] = Value::UInt(1_000_000));
+    let RuntimeError::InvalidSnapshot { reason } = &err else { panic!("got {err:?}") };
+    let foreign =
+        format!("maintainer tree 0: node {device_node} hangs off link 1000000, which is not");
+    assert!(reason.contains(&foreign), "got: {reason}");
 
     let err = restore(&|value| {
         let Value::Array(iot) = member(member(value, "topology"), "iot") else {

@@ -14,6 +14,11 @@
 //!   point changes nothing: the restored cluster matrix, read out of
 //!   the restored trees, is bit for bit the interrupted one's, and the
 //!   resumed run ends byte-identical to an uninterrupted one.
+//! - A snapshot stores each tree's parents, not its distances or the
+//!   link costs; snapshot → JSON → restore after any drift, failure and
+//!   recovery history, in either maintenance mode, rebuilds the live
+//!   delay maintainer bit for bit (distances, parents, base and
+//!   effective costs) and the same cluster delay matrix.
 //! - Traces survive a JSON round trip unchanged.
 
 use proptest::prelude::*;
@@ -155,6 +160,7 @@ proptest! {
 
         prop_assert_eq!(deterministic_report(&whole), deterministic_report(&resumed));
         prop_assert_eq!(whole.snapshot(), resumed.snapshot());
+        prop_assert_eq!(bits(delays(&whole)), bits(delays(&resumed)));
     }
 
     /// Traces are stable under JSON round trips.
@@ -162,5 +168,55 @@ proptest! {
     fn trace_json_round_trip((trace, _) in trace_and_cut()) {
         let back = Trace::from_json(&trace.to_json()).expect("round trip parses");
         prop_assert_eq!(trace, back);
+    }
+}
+
+proptest! {
+    // Each case replays six families in two modes, restoring after
+    // every event.
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// After every event of a drift/fail/recover-heavy trace, on all six
+    /// families and in both maintenance modes, the restored maintainer
+    /// is the live one bit for bit: `{:?}` prints each `f64` as its
+    /// shortest round-trip form, so equal debug text is equal bits for
+    /// every distance and cost.
+    #[test]
+    fn restored_maintainer_is_the_live_one_bit_for_bit(
+        num_iot in 8usize..=20,
+        num_servers in 2usize..=5,
+        seed in 0u64..1000,
+        num_events in 15usize..=40,
+    ) {
+        for family in TopologyFamily::ALL {
+            let scenario =
+                TraceScenario { family, num_iot, num_servers, load_factor: 0.7, seed };
+            let trace = TraceGenerator::new(scenario)
+                .num_events(num_events)
+                .weights([1.0, 1.0, 3.0, 3.0, 6.0])
+                .generate(seed)
+                .expect("generated traces are valid");
+            for full_recompute in [false, true] {
+                let config = RuntimeConfig { full_recompute, ..RuntimeConfig::default() };
+                let mut live = Runtime::from_trace(&trace, config).expect("runtime");
+                for (index, timed) in trace.events.iter().enumerate() {
+                    live.step(index, timed).expect("step");
+                    let what = format!("{family:?}, full {full_recompute}, event {index}");
+                    let json = live.snapshot().to_json();
+                    prop_assert!(!json.contains("\"dist\""), "{}", what);
+                    let snapshot = RuntimeSnapshot::from_json(&json).expect("snapshot parses");
+                    let restored = Runtime::restore(snapshot, &trace).expect("restore");
+                    prop_assert_eq!(
+                        format!("{:?}", restored.maintainer()),
+                        format!("{:?}", live.maintainer()),
+                        "{}",
+                        what
+                    );
+                    prop_assert_eq!(restored.maintainer(), live.maintainer(), "{}", what);
+                    let bits = |m: &DelayMatrix| m.iter().map(f64::to_bits).collect::<Vec<u64>>();
+                    prop_assert_eq!(bits(delays(&restored)), bits(delays(&live)), "{}", what);
+                }
+            }
+        }
     }
 }

@@ -247,6 +247,11 @@ fn a_dropped_session_recovers_byte_identically_from_its_journal() {
     let mut recovered = Session::recover(&cfg).unwrap();
     assert_eq!(recovered.cursor() as usize, trace.events.len(), "every acknowledged event");
     assert_eq!(recovered.snapshot_json().unwrap(), expected, "byte-identical state");
+    // A snapshot stores tree parents, not distances: the delays too.
+    let delays = |session: &Session| -> Vec<u64> {
+        session.runtime().cluster().instance().delays().iter().map(|d| d.to_bits()).collect()
+    };
+    assert_eq!(delays(&recovered), delays(&reference), "bit-identical delays");
 
     // The recovered session keeps working: more events, more queries.
     let more = TraceGenerator::new(scenario()).num_events(40).generate(99).unwrap();

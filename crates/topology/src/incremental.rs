@@ -29,9 +29,18 @@
 //! shortest path, and both take exact minima over the same candidate
 //! set. [`SsspTree::matches_full`] checks this and backs the debug
 //! assertions in the runtime.
+//!
+//! Every distance a tree holds is also its parent's distance plus the
+//! parent link's cost, bitwise — the one addition that wrote it
+//! ([`SsspTree::parent_sum_mismatch`] checks this). So the source and the
+//! parent links ([`ParentTree`]) determine the whole tree under the
+//! costs: [`SsspTree::from_parents`] rebuilds the distances in tree
+//! order and refuses, as a [`ParentFault`], any parent array that is
+//! not a shortest-path tree under those costs. Snapshots store that form.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BinaryHeap;
+use std::fmt;
 
 use crate::shortest_path::HeapEntry;
 use crate::{Graph, LinkId, NodeId};
@@ -87,7 +96,7 @@ impl UpdateStats {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SsspTree {
     source: NodeId,
     /// Distance from the source, `f64::INFINITY` when unreachable.
@@ -95,6 +104,90 @@ pub struct SsspTree {
     /// The link to each node's tree parent (`None` for the source and
     /// unreachable nodes).
     parent_link: Vec<Option<LinkId>>,
+}
+
+/// The stored form of an [`SsspTree`]: its source and each node's parent
+/// link, without the distances they determine. [`SsspTree::parents`]
+/// takes it and [`SsspTree::from_parents`] rebuilds the tree from it,
+/// refusing a parent array that is not a shortest-path tree.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ParentTree {
+    source: NodeId,
+    parent_link: Vec<Option<LinkId>>,
+}
+
+impl ParentTree {
+    /// The node the tree grows from.
+    pub fn source(&self) -> NodeId {
+        self.source
+    }
+
+    /// The number of parent entries, one per node of the graph the tree
+    /// was taken over. Only a deserialized value can disagree with its
+    /// graph, which is what an input quarantine looks for.
+    pub fn node_count(&self) -> usize {
+        self.parent_link.len()
+    }
+}
+
+/// Why [`SsspTree::from_parents`] refused a parent array: a node or link
+/// that keeps it from being a shortest-path tree under the given costs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+pub enum ParentFault {
+    /// `link` is not a link of the graph incident to `node`, or its other
+    /// endpoint is not a node of the graph.
+    ForeignLink {
+        /// The node holding the parent entry.
+        node: NodeId,
+        /// Its parent link.
+        link: LinkId,
+    },
+    /// `node`'s parent link is disabled: its cost is not finite.
+    DisabledLink {
+        /// The node holding the parent entry.
+        node: NodeId,
+        /// Its parent link.
+        link: LinkId,
+    },
+    /// The parent chain from `node` cycles or ends away from the source
+    /// (the source itself holding a parent included).
+    Unrooted {
+        /// The first node whose chain does not end at the source.
+        node: NodeId,
+    },
+    /// `link` would shorten `node`'s rebuilt distance: the tree is not a
+    /// shortest-path tree (or misses a node the source reaches).
+    Shortcut {
+        /// The node whose distance the link improves.
+        node: NodeId,
+        /// The improving link.
+        link: LinkId,
+    },
+}
+
+impl fmt::Display for ParentFault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            ParentFault::ForeignLink { node, link } => write!(
+                f,
+                "node {} hangs off link {}, which is not incident to it",
+                node.index(),
+                link.index()
+            ),
+            ParentFault::DisabledLink { node, link } => {
+                write!(f, "node {} hangs off disabled link {}", node.index(), link.index())
+            }
+            ParentFault::Unrooted { node } => {
+                write!(f, "the parent chain from node {} cycles or misses the source", node.index())
+            }
+            ParentFault::Shortcut { node, link } => write!(
+                f,
+                "link {} would shorten the distance of node {}",
+                link.index(),
+                node.index()
+            ),
+        }
+    }
 }
 
 impl SsspTree {
@@ -135,12 +228,128 @@ impl SsspTree {
         &self.dist
     }
 
-    /// The lengths of the per-node arrays: `(distances, parent links)`.
-    /// [`SsspTree::build`] makes both the graph's node count; only a
-    /// deserialized tree can disagree, which is what an input
-    /// quarantine looks for.
-    pub fn node_lengths(&self) -> (usize, usize) {
-        (self.dist.len(), self.parent_link.len())
+    /// The tree's stored form: its source and parent links.
+    pub fn parents(&self) -> ParentTree {
+        ParentTree { source: self.source, parent_link: self.parent_link.clone() }
+    }
+
+    /// Rebuilds a tree from its parents under `costs`: in tree order
+    /// from the source, each reached node's distance is its parent's
+    /// plus the parent link's cost — the addition that wrote it — and
+    /// every other node is unreachable. A tree [`SsspTree::parents`]
+    /// took comes back bit for bit when `costs` are the ones it was
+    /// maintained under.
+    ///
+    /// # Errors
+    ///
+    /// The first [`ParentFault`]: a parent link not incident to its node
+    /// or over a disabled link, a parent chain that cycles or misses the
+    /// source, or a link that would shorten a rebuilt distance.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the source is not a node of `graph`, or `parents` or
+    /// `costs` do not hold one entry per node and per link.
+    pub fn from_parents(
+        graph: &Graph,
+        costs: &[f64],
+        parents: &ParentTree,
+    ) -> Result<SsspTree, ParentFault> {
+        let ParentTree { source, parent_link } = parents;
+        let (source, n) = (*source, graph.node_count());
+        assert!(source.index() < n, "source {source} not in graph");
+        assert_eq!(parent_link.len(), n, "parent array must have one entry per node");
+        assert_eq!(costs.len(), graph.link_count(), "cost array must have one entry per link");
+
+        // Each entry's parent node, then the children grouped by parent
+        // (counting sort) so the distances can be summed in tree order.
+        let mut parent = vec![None; n];
+        for (v, entry) in parent_link.iter().enumerate() {
+            let Some(link) = *entry else { continue };
+            let node = NodeId(v as u32);
+            if node == source {
+                return Err(ParentFault::Unrooted { node });
+            }
+            let up = (link.index() < graph.link_count())
+                .then(|| graph.link(link))
+                .and_then(|l| match (l.a() == node, l.b() == node) {
+                    (true, _) => Some(l.b()),
+                    (_, true) => Some(l.a()),
+                    _ => None,
+                })
+                .filter(|p| p.index() < n);
+            let Some(up) = up else { return Err(ParentFault::ForeignLink { node, link }) };
+            if !costs[link.index()].is_finite() {
+                return Err(ParentFault::DisabledLink { node, link });
+            }
+            parent[v] = Some(up.index());
+        }
+        let mut first = vec![0usize; n + 1];
+        for &p in parent.iter().flatten() {
+            first[p + 1] += 1;
+        }
+        for i in 0..n {
+            first[i + 1] += first[i];
+        }
+        let mut next = first.clone();
+        let mut children = vec![0usize; first[n]];
+        for (v, p) in parent.iter().enumerate() {
+            if let Some(p) = *p {
+                children[next[p]] = v;
+                next[p] += 1;
+            }
+        }
+
+        let mut dist = vec![f64::INFINITY; n];
+        let mut reached = vec![false; n];
+        let mut order = vec![source.index()];
+        dist[source.index()] = 0.0;
+        reached[source.index()] = true;
+        let mut head = 0;
+        while let Some(&u) = order.get(head) {
+            head += 1;
+            for &c in &children[first[u]..first[u + 1]] {
+                let link = parent_link[c].expect("a child has a parent link");
+                dist[c] = dist[u] + costs[link.index()];
+                reached[c] = true;
+                order.push(c);
+            }
+        }
+        if let Some(v) = (0..n).find(|&v| parent[v].is_some() && !reached[v]) {
+            return Err(ParentFault::Unrooted { node: NodeId(v as u32) });
+        }
+        for (id, link) in graph.links() {
+            let (a, b) = (link.a().index(), link.b().index());
+            let c = costs[id.index()];
+            if a >= n || b >= n || !c.is_finite() {
+                continue;
+            }
+            for (from, to) in [(a, b), (b, a)] {
+                if dist[from] + c < dist[to] {
+                    return Err(ParentFault::Shortcut { node: NodeId(to as u32), link: id });
+                }
+            }
+        }
+        Ok(SsspTree { source, dist, parent_link: parent_link.clone() })
+    }
+
+    /// The first node whose distance is not, bit for bit, its parent's
+    /// distance plus its parent link's cost under `costs` — `None` for
+    /// every tree [`SsspTree::build`] and the repairs leave behind, which
+    /// is what lets [`SsspTree::from_parents`] rebuild the distances.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tree or `costs` do not fit `graph`.
+    pub fn parent_sum_mismatch(&self, graph: &Graph, costs: &[f64]) -> Option<NodeId> {
+        self.check_dimensions(graph, costs);
+        self.parent_link.iter().enumerate().find_map(|(v, entry)| {
+            let link = (*entry)?;
+            let node = NodeId(v as u32);
+            let parent = graph.link(link).opposite(node);
+            let sum = self.dist[parent.index()] + costs[link.index()];
+            (sum.to_bits() != self.dist[v].to_bits()).then_some(node)
+        })
     }
 
     /// Recomputes the whole tree from scratch — the fallback path, and
@@ -533,9 +742,84 @@ mod tests {
     fn serde_roundtrip_preserves_tree() {
         let (g, costs) = diamond();
         let (tree, _) = SsspTree::build(&g, NodeId(0), &costs);
-        let json = serde_json::to_string(&tree).unwrap();
-        let back: SsspTree = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, tree);
+        let json = serde_json::to_string(&tree.parents()).unwrap();
+        assert_eq!(json, r#"{"source":0,"parent_link":[null,0,1,2]}"#);
+        let back: ParentTree = serde_json::from_str(&json).unwrap();
+        assert_eq!(SsspTree::from_parents(&g, &costs, &back), Ok(tree));
+    }
+
+    /// The diamond's tree from n0 with one parent entry replaced.
+    fn edited(node: usize, link: Option<usize>) -> ParentTree {
+        let (g, costs) = diamond();
+        let mut parents = SsspTree::build(&g, NodeId(0), &costs).0.parents();
+        parents.parent_link[node] = link.map(|l| LinkId(l as u32));
+        parents
+    }
+
+    #[test]
+    fn from_parents_refuses_every_kind_of_bad_parent() {
+        let (g, mut costs) = diamond();
+        let rebuild = |parents: ParentTree, costs: &[f64]| {
+            SsspTree::from_parents(&g, costs, &parents).unwrap_err()
+        };
+        let (n, l) = (|i: u32| NodeId(i), |i: u32| LinkId(i));
+        // n2 hanging off n0—n3 (not incident), or off a link past the graph.
+        let foreign = rebuild(edited(2, Some(2)), &costs);
+        assert_eq!(foreign, ParentFault::ForeignLink { node: n(2), link: l(2) });
+        let past = rebuild(edited(2, Some(9)), &costs);
+        assert_eq!(past, ParentFault::ForeignLink { node: n(2), link: l(9) });
+        // n1 hanging off n0—n1 while that link is disabled.
+        costs[0] = f64::INFINITY;
+        let disabled = rebuild(edited(1, Some(0)), &costs);
+        assert_eq!(disabled, ParentFault::DisabledLink { node: n(1), link: l(0) });
+        costs[0] = 1.0;
+        // n1 and n2 each other's parent; the source holding a parent.
+        let cycle = rebuild(edited(1, Some(1)), &costs);
+        assert_eq!(cycle, ParentFault::Unrooted { node: n(1) });
+        let rooted_elsewhere = rebuild(edited(0, Some(0)), &costs);
+        assert_eq!(rooted_elsewhere, ParentFault::Unrooted { node: n(0) });
+        // n2 through the chord (5 instead of 2), or left unreachable.
+        let long_way = rebuild(edited(2, Some(4)), &costs);
+        assert_eq!(long_way, ParentFault::Shortcut { node: n(2), link: l(1) });
+        let dropped = rebuild(edited(2, None), &costs);
+        assert_eq!(dropped, ParentFault::Shortcut { node: n(2), link: l(1) });
+        assert_eq!(
+            dropped.to_string(),
+            "link 1 would shorten the distance of node 2",
+            "faults name plain indices"
+        );
+    }
+
+    #[test]
+    fn random_trees_rebuild_from_their_parents_bit_for_bit() {
+        // A chord graph whose links are raised, lowered, disabled and
+        // re-enabled at random: after every repair the distances are the
+        // parent sums, and the parents alone rebuild the tree.
+        let mut g = Graph::new();
+        let nodes: Vec<_> = (0..10).map(|_| g.add_node(NodeKind::Router)).collect();
+        for i in 0..nodes.len() {
+            for j in (i + 1)..nodes.len() {
+                if (i * 5 + j * 3) % 4 == 0 {
+                    g.add_link(nodes[i], nodes[j], 1.0, 100.0).unwrap();
+                }
+            }
+        }
+        let mut costs: Vec<f64> = (0..g.link_count()).map(|i| 0.1 * (i % 7) as f64 + 0.3).collect();
+        let (mut tree, _) = SsspTree::build(&g, nodes[3], &costs);
+        let mut state = 0x9e37_79b9_u64;
+        for step in 0..150 {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let idx = (state >> 33) as usize % costs.len();
+            let old = costs[idx];
+            costs[idx] =
+                if state % 3 == 0 { f64::INFINITY } else { ((state >> 40) % 97) as f64 / 7.0 };
+            tree.apply_cost_change(&g, &costs, LinkId(idx as u32), old, &mut Vec::new());
+            assert_eq!(tree.parent_sum_mismatch(&g, &costs), None, "step {step}");
+            let back = SsspTree::from_parents(&g, &costs, &tree.parents()).unwrap();
+            let bits = |t: &SsspTree| t.distances().iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&back), bits(&tree), "step {step}");
+            assert_eq!(back, tree, "step {step}");
+        }
     }
 
     #[test]
