@@ -10,14 +10,16 @@
 //! * `retry-only` — the client drains and re-sends shed bursts, but the
 //!   daemon's brownout ladder is disabled;
 //! * `retry+brownout` — the same retrying client against the full
-//!   ladder (budget cuts, ALT-bound solves, tier shed).
+//!   ladder (budget cuts, then tier shed).
 //!
 //! Expected shape: `no-retry` applies only a fraction of the trace and
 //! never matches the unthrottled reference snapshot; both retry postures
 //! apply *everything* byte-identically (`identical_rate` = 1) despite a
-//! first-attempt shed rate well past 30 %; brownout additionally slashes
-//! the solve spend under pressure (`solve_spent_mean`) and walks back to
-//! `normal` once the crowd passes (`end_normal_rate`).
+//! first-attempt shed rate well past 30 %; brownout additionally caps
+//! the solve budget under pressure (`solve_spent_mean` falls only where
+//! a cut budget is below what the solver spends to reach its local
+//! optimum) and walks back to `normal` once the crowd passes
+//! (`end_normal_rate`).
 //!
 //! Run: `cargo run --release -p tacc-bench --bin exp_flash_crowd [--quick]`
 

@@ -328,13 +328,8 @@ fn truncate_torn_tail(path: &Path) -> Result<(), ChaosError> {
     // scan must report it).
     if keep > 0 {
         let start = bytes[..keep - 1].iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1);
-        if start > 0 {
-            let intact = std::str::from_utf8(&bytes[start..keep - 1])
-                .map_err(|e| e.to_string())
-                .and_then(|line| parse_journal_line(line).map(|_| ()));
-            if intact.is_err() {
-                keep = start;
-            }
+        if start > 0 && parse_journal_bytes(&bytes[start..keep - 1]).is_err() {
+            keep = start;
         }
     }
 
@@ -348,20 +343,38 @@ fn truncate_torn_tail(path: &Path) -> Result<(), ChaosError> {
     Ok(())
 }
 
-/// Counts the intact journal lines currently in `path` (zero when the
-/// file does not exist) — how a standby re-learns its durable length
-/// after dropping a failed journal handle.
+/// Counts the journal lines currently in `path` (zero when the file
+/// does not exist) — how a standby re-learns its durable length after
+/// dropping a failed journal handle.
 ///
 /// # Errors
 ///
 /// Returns [`ChaosError::Io`] on any read failure other than the file
 /// not existing.
 pub fn journal_line_count(path: &Path) -> Result<u64, ChaosError> {
-    match std::fs::read_to_string(path) {
-        Ok(text) => Ok(text.lines().filter(|l| !l.trim().is_empty()).count() as u64),
+    match std::fs::read(path) {
+        Ok(bytes) => Ok(journal_lines(&bytes).count() as u64),
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(0),
         Err(e) => Err(ChaosError::io(path, &e)),
     }
+}
+
+/// A journal's lines, as every reader numbers them: its bytes split at
+/// `\n` (a `\r` before it dropped), whitespace-only lines skipped. A
+/// line stays bytes until [`parse_journal_bytes`] reads it, so one that
+/// is not UTF-8 is one damaged line, not an unreadable file.
+fn journal_lines(bytes: &[u8]) -> impl Iterator<Item = &[u8]> {
+    bytes
+        .split(|&b| b == b'\n')
+        .map(|line| line.strip_suffix(b"\r").unwrap_or(line))
+        .filter(|line| !line.iter().all(u8::is_ascii_whitespace))
+}
+
+/// [`parse_journal_line`] on a line's bytes; a line that is not UTF-8
+/// fails like any other damaged frame.
+fn parse_journal_bytes(line: &[u8]) -> Result<JournalRecord, String> {
+    let line = std::str::from_utf8(line).map_err(|e| format!("line is not UTF-8: {e}"))?;
+    parse_journal_line(line)
 }
 
 /// How [`recover_with`] treats corrupt mid-file records.
@@ -467,8 +480,8 @@ pub struct JournalScan {
 /// [`RecoveryPolicy::Strict`] — has a corrupt record anywhere before the
 /// final line.
 pub fn scan_journal(path: &Path, policy: RecoveryPolicy) -> Result<JournalScan, ChaosError> {
-    let text = std::fs::read_to_string(path).map_err(|e| ChaosError::io(path, &e))?;
-    let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
+    let bytes = std::fs::read(path).map_err(|e| ChaosError::io(path, &e))?;
+    let lines: Vec<&[u8]> = journal_lines(&bytes).collect();
     if lines.is_empty() {
         return Err(ChaosError::Journal { reason: "journal is empty".to_owned() });
     }
@@ -477,7 +490,7 @@ pub fn scan_journal(path: &Path, policy: RecoveryPolicy) -> Result<JournalScan, 
     let mut torn_tail = false;
     let mut corrupt_records: Vec<usize> = Vec::new();
     for (i, line) in lines.iter().enumerate() {
-        match parse_journal_line(line) {
+        match parse_journal_bytes(line) {
             Ok(record) => records.push(record),
             Err(_) if i + 1 == lines.len() && lines.len() > 1 => torn_tail = true,
             Err(reason) => match policy {
@@ -662,6 +675,28 @@ mod tests {
         std::fs::write(&path, lines.join("\n")).unwrap();
         let err = recover(&path, &trace).unwrap_err();
         assert!(matches!(err, ChaosError::Journal { .. }), "got {err:?}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_final_line_that_is_not_utf8_is_a_torn_tail() {
+        let trace = trace();
+        let path = temp_path("utf8-tail");
+        let mut journal = Journal::create(&path, &trace, &RuntimeConfig::default()).unwrap();
+        journal.append(&JournalRecord::Step { index: 0 }).unwrap();
+        journal.append(&JournalRecord::Step { index: 1 }).unwrap();
+        drop(journal);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let last = bytes[..bytes.len() - 1].iter().rposition(|&b| b == b'\n').unwrap() + 1;
+        bytes[last + 3] = 0xFF;
+        std::fs::write(&path, &bytes).unwrap();
+
+        assert_eq!(journal_line_count(&path).unwrap(), 3, "a damaged line still counts");
+        let recovery = recover(&path, &trace).unwrap();
+        assert!(recovery.torn_tail);
+        assert_eq!(recovery.last_step, Some(0));
+        drop(Journal::open_append(&path).unwrap());
+        assert_eq!(std::fs::read(&path).unwrap(), &bytes[..last], "the reopen truncates it");
         std::fs::remove_file(&path).ok();
     }
 

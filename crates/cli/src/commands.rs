@@ -13,7 +13,7 @@ use tacc_core::workload::{
 use tacc_core::{Algorithm, ClusterConfigurator};
 use tacc_guard::{validate, Budget, QuarantineReport, Supervisor, SupervisorConfig};
 use tacc_runtime::{ReassignPolicy, Runtime, RuntimeConfig, RuntimeSnapshot};
-use tacc_zone::{dense_solve, RouterConfig, ZoneLayout, ZoneRouting, ZonedSolution};
+use tacc_zone::{dense_solve, ZoneLayout};
 
 use crate::args::{Args, Flag, Spec};
 
@@ -61,14 +61,15 @@ solve only:
                      GuardReport in the output. Requires an iterative
                      algorithm (the RL learners, local-search,
                      simulated-annealing, tabu-search, genetic)
-  --zones K          hierarchical zone decomposition — partition the servers
-                     into K zones by gateway locality, route devices on the
-                     compressed delay summary, solve per-zone sub-instances
-                     in parallel, boundary-refine. --budget becomes total
-                     local-search rounds split across zones; --algorithm is
-                     ignored (the zone pipeline uses the dense reference
-                     solver). K = 1 reproduces the global dense solve
-                     bit-for-bit
+  --zones K          hierarchical zone decomposition, as `tacc serve --zones`
+                     answers Solve — partition the servers into K zones by
+                     gateway locality, route devices on the compressed
+                     delay summary, solve each zone with --algorithm under
+                     its own guard ladder (in parallel), boundary-refine.
+                     --budget is split across the zones [default 1000
+                     units per zone]; --algorithm must be iterative, as for
+                     --budget. K = 1 answers what --budget alone answers,
+                     bit for bit
 
 simulate only:
   --duration-ms D    simulated time             [default 30000]
@@ -483,15 +484,18 @@ fn solve_output(args: &Args) -> Result<String, String> {
         tacc_obs::reset();
     }
     let (scenario, seed) = scenario_from(args)?;
+    let algorithm = algorithm_from(args)?;
     if let Some(zones) = args.str_opt("zones") {
         let zones: usize =
             zones.parse().map_err(|_| format!("--zones got `{zones}`, expected a number"))?;
         if zones == 0 {
             return Err("--zones needs at least one zone".to_owned());
         }
-        return solve_zoned(args, &scenario, seed, zones, obs_out);
+        if algorithm.anytime_solver(seed).is_none() {
+            return Err(one_shot(&algorithm));
+        }
+        return solve_zoned(args, &scenario, &algorithm, seed, zones, obs_out);
     }
-    let algorithm = algorithm_from(args)?;
     if let Some(units) = budget_from(args)? {
         return solve_supervised(args, &scenario, &algorithm, seed, units, obs_out);
     }
@@ -521,6 +525,16 @@ fn solve_output(args: &Args) -> Result<String, String> {
     }
 }
 
+/// The refusal of a one-shot algorithm where a budgeted, supervised
+/// solve is asked for (`--budget` or `--zones`).
+fn one_shot(algorithm: &Algorithm) -> String {
+    format!(
+        "--budget needs an iterative algorithm (q-learning, double-q-learning, sarsa, \
+         local-search, simulated-annealing, tabu-search, genetic); `{}` is one-shot",
+        algorithm.name()
+    )
+}
+
 /// The `--budget` path: the algorithm's anytime form under the guard
 /// supervisor — deterministic best-so-far answer within the budget, the
 /// fallback ladder on panic or error, and the [`tacc_guard::GuardReport`]
@@ -534,11 +548,7 @@ fn solve_supervised(
     obs_out: Option<&str>,
 ) -> Result<String, String> {
     let Some(primary) = algorithm.anytime_solver(seed) else {
-        return Err(format!(
-            "--budget needs an iterative algorithm (q-learning, double-q-learning, sarsa, \
-             local-search, simulated-annealing, tabu-search, genetic); `{}` is one-shot",
-            algorithm.name()
-        ));
+        return Err(one_shot(algorithm));
     };
     let instance = scenario.instance();
     let budget = Budget::units(units);
@@ -613,39 +623,35 @@ fn write_supervised_stream(
     stream.finish(&tacc_obs::registry_snapshot())
 }
 
-/// The `--zones` path: the hierarchical pipeline from `tacc-zone` —
-/// partition the servers by gateway locality, route devices on the
-/// compressed summary (no flat matrix), solve per-zone sub-instances in
-/// parallel under split budgets, boundary-refine. One zone reproduces
-/// the global dense reference solve bit-for-bit.
+/// The `--zones` path: the zoned Solve `tacc serve --zones` answers
+/// with ([`tacc_serve::zoned_solve`]), over every server at the
+/// scenario's link costs — `--algorithm` under one guard ladder per
+/// zone, `--budget` split across the zones (unlimited: the zone
+/// pipeline's default rounds per zone). One zone answers what `--budget`
+/// alone answers.
 fn solve_zoned(
     args: &Args,
     scenario: &Scenario,
+    algorithm: &Algorithm,
     seed: u64,
     zones: usize,
     obs_out: Option<&str>,
 ) -> Result<String, String> {
-    let instance = scenario.instance();
-    let demands: Vec<f64> = (0..instance.num_devices()).map(|i| instance.demand(i, 0)).collect();
-    let layout = ZoneLayout::build(
-        scenario.topology(),
-        &tacc_core::topology::DelayModel::default(),
-        instance.capacities(),
-        zones,
-    );
-    let devices = scenario.topology().iot_nodes();
-    let routing = layout.route(devices, &demands, &RouterConfig::default());
+    let (topology, instance) = (scenario.topology(), scenario.instance());
+    let model = tacc_core::topology::DelayModel::default();
+    let costs: Vec<f64> = topology.graph().links().map(|(_, l)| model.link_delay_ms(l)).collect();
+    let devices: Vec<usize> = (0..instance.num_devices()).collect();
+    let servers: Vec<usize> = (0..instance.num_servers()).collect();
     let budget = budget_from(args)?.map_or_else(Budget::unlimited, Budget::units);
-    let budgets = layout.split_rounds(&routing, &budget);
-    let solution =
-        layout.solve_with(devices, &demands, &routing, &budgets, |_zone, sub, rounds| {
-            dense_solve(sub, seed, rounds)
-        });
+    let answer = tacc_serve::zoned_solve(
+        topology, &costs, instance, &devices, &servers, zones, algorithm, seed, &budget,
+    );
+    let (solution, report) = (&answer.solution, &answer.report);
     if let Some(path) = obs_out {
-        write_zoned_stream(Path::new(path), &layout, &routing, &solution, &budgets, seed)
+        write_zoned_stream(Path::new(path), &answer, servers.len(), seed)
             .map_err(|e| e.to_string())?;
     }
-    let n = instance.num_devices();
+    let n = devices.len();
     let mean = if n > 0 { solution.objective / n as f64 } else { 0.0 };
     if args.has("json") {
         let zone_stats: Vec<serde_json::Value> = solution
@@ -663,12 +669,12 @@ fn solve_zoned(
             })
             .collect();
         let doc = serde_json::json!({
-            "algorithm": "zoned:greedy-regret+shift",
-            "zones": layout.num_zones(),
+            "algorithm": report.solver.clone(),
+            "zones": solution.zones.len(),
             "feasible": solution.feasible,
             "total_delay_ms": solution.objective,
             "mean_delay_ms": mean,
-            "router_spills": routing.spills,
+            "router_spills": answer.router_spills,
             "border_refinements": solution.refinements,
             "zone_stats": zone_stats,
             "assignment": solution.server_of_device,
@@ -677,17 +683,21 @@ fn solve_zoned(
         Ok(serde_json::to_string_pretty(&doc).expect("serializable"))
     } else {
         let mut out = format!(
-            "zoned solve: {} zone(s) over {} servers\n\
+            "zoned solve: {} in {} zone(s) over {} servers\n\
+             degradation: {}, spent {} unit(s)\n\
              feasible: {}\n\
              total delay: {:.3} ms (mean {:.3} ms)\n\
              router spills: {}, border refinements: {}\n\
              {:>4} {:>8} {:>8} {:>8} {:>14} {:>9}",
-            layout.num_zones(),
-            layout.num_servers(),
+            report.solver,
+            solution.zones.len(),
+            servers.len(),
+            report.degradation.label(),
+            report.spent,
             solution.feasible,
             solution.objective,
             mean,
-            routing.spills,
+            answer.router_spills,
             solution.refinements,
             "zone",
             "devices",
@@ -706,19 +716,17 @@ fn solve_zoned(
     }
 }
 
-/// The zoned-solve observability stream: meta, one `zones` record (the
-/// same shape `tacc serve` emits on its zone-decomposed Solve path),
-/// one `solution` record, and the closing registry — where the `zone.*`
-/// counters land.
+/// The zoned-solve observability stream: meta, the `zones` record
+/// `tacc serve` also emits, one `solution` record, and the closing
+/// registry — where the `zone.*` and `guard.*` counters land.
 fn write_zoned_stream(
     path: &Path,
-    layout: &ZoneLayout,
-    routing: &ZoneRouting,
-    solution: &ZonedSolution,
-    budgets: &[u64],
+    answer: &tacc_serve::ZonedAnswer,
+    servers: usize,
     seed: u64,
 ) -> std::io::Result<()> {
     use serde_json::Value;
+    let solution = &answer.solution;
     let devices = solution.server_of_device.len();
     let mean = if devices > 0 { solution.objective / devices as f64 } else { 0.0 };
     let mut stream = tacc_obs::StreamWriter::create(
@@ -727,18 +735,10 @@ fn write_zoned_stream(
         vec![
             ("seed".to_owned(), Value::UInt(seed)),
             ("devices".to_owned(), Value::UInt(devices as u64)),
-            ("servers".to_owned(), Value::UInt(layout.num_servers() as u64)),
+            ("servers".to_owned(), Value::UInt(servers as u64)),
         ],
     )?;
-    stream.record(
-        "zones",
-        vec![
-            ("zones".to_owned(), Value::UInt(layout.num_zones() as u64)),
-            ("router_spills".to_owned(), Value::UInt(routing.spills as u64)),
-            ("border_refinements".to_owned(), Value::UInt(solution.refinements as u64)),
-            ("budget".to_owned(), Value::UInt(budgets.iter().sum())),
-        ],
-    )?;
+    stream.record("zones", answer.zones_record())?;
     stream.record(
         "solution",
         vec![
@@ -2029,6 +2029,104 @@ mod tests {
     }
 
     #[test]
+    fn a_journal_line_that_is_not_utf8_is_one_corrupt_record() {
+        let dir = std::env::temp_dir().join(format!("tacc-cli-utf8-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (trace_path, journal_path) = (dir.join("trace.json"), dir.join("journal.jsonl"));
+        let gen = ["--devices", "15", "--servers", "3", "--events", "40", "--seed", "7"];
+        let gen = Args::parse(&argv(&gen), &GEN_TRACE).unwrap();
+        std::fs::write(&trace_path, gen_trace_json(&gen).unwrap()).unwrap();
+        let (trace_flag, journal_flag) =
+            (trace_path.to_str().unwrap(), journal_path.to_str().unwrap());
+        let run = |extra: &[&str]| {
+            let mut a: Vec<&str> = vec!["--trace", trace_flag, "--seed", "7"];
+            a.extend_from_slice(extra);
+            run_trace_report(&Args::parse(&argv(&a), &RUN_TRACE).unwrap())
+        };
+        let whole = run(&[]).unwrap();
+        run(&["--journal", journal_flag, "--stop-after", "23"]).unwrap();
+
+        // One byte of line 4 (a `Step` record) set to 0xFF.
+        let mut bytes = std::fs::read(&journal_path).unwrap();
+        let line_starts: Vec<usize> = std::iter::once(0)
+            .chain(bytes.iter().enumerate().filter(|(_, &b)| b == b'\n').map(|(i, _)| i + 1))
+            .collect();
+        bytes[line_starts[3] + 5] = 0xFF;
+        std::fs::write(&journal_path, &bytes).unwrap();
+        let trace = Trace::from_json(&std::fs::read_to_string(&trace_path).unwrap()).unwrap();
+
+        let err = recover_with(&journal_path, &trace, RecoveryPolicy::Strict).unwrap_err();
+        assert!(err.to_string().contains("corrupt record at line 4"), "got: {err}");
+        let recovery = recover_with(&journal_path, &trace, RecoveryPolicy::Lenient).unwrap();
+        assert_eq!(recovery.corrupt_records, vec![4]);
+        assert_eq!(run(&["--journal", journal_flag, "--recover"]).unwrap(), whole);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn resume_derives_the_disable_counts_from_the_failed_servers() {
+        use serde_json::Value;
+        let dir = std::env::temp_dir().join(format!("tacc-cli-disabled-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (trace_path, snap_path) = (dir.join("trace.json"), dir.join("snapshot.json"));
+        let gen =
+            Args::parse(&argv(&["--devices", "60", "--servers", "6", "--seed", "3"]), &GEN_TRACE)
+                .unwrap();
+        std::fs::write(&trace_path, gen_trace_json(&gen).unwrap()).unwrap();
+        let trace_flag = trace_path.to_str().unwrap();
+        let run = |extra: &[&str]| {
+            let mut a: Vec<&str> = vec!["--trace", trace_flag];
+            a.extend_from_slice(extra);
+            run_trace_report(&Args::parse(&argv(&a), &RUN_TRACE).unwrap()).unwrap()
+        };
+        let whole = run(&[]);
+        run(&["--stop-after", "40", "--snapshot-out", snap_path.to_str().unwrap()]);
+
+        // The snapshot with the disable counts its failed servers imply
+        // (each link counts its failed server endpoints), except that
+        // link 0, no server's link, claims one: restore derives the
+        // counts from the failed servers instead, so the resumed run is
+        // the whole one.
+        let mut snapshot: Value =
+            serde_json::from_str(&std::fs::read_to_string(&snap_path).unwrap()).unwrap();
+        let topology = snapshot.get("topology").unwrap().clone();
+        let (Some(Value::Array(servers)), Some(Value::Array(failed)), Some(Value::Array(links))) = (
+            topology.get("servers"),
+            snapshot.get("maintainer").and_then(|m| m.get("failed")),
+            topology.get("graph").and_then(|g| g.get("links")),
+        ) else {
+            panic!("servers, failed flags and links are arrays")
+        };
+        let down: Vec<&Value> = servers
+            .iter()
+            .zip(failed)
+            .filter(|(_, f)| **f == Value::Bool(true))
+            .map(|p| p.0)
+            .collect();
+        let mut disabled: Vec<Value> = links
+            .iter()
+            .map(|l| {
+                let ends = [l.get("a").unwrap(), l.get("b").unwrap()];
+                Value::UInt(ends.iter().filter(|end| down.contains(end)).count() as u64)
+            })
+            .collect();
+        assert_eq!(disabled[0], Value::UInt(0), "link 0 touches no failed server");
+        disabled[0] = Value::UInt(1);
+        let Value::Object(fields) = &mut snapshot else { panic!("a snapshot is an object") };
+        let Some((_, Value::Object(maintainer))) =
+            fields.iter_mut().find(|(k, _)| k == "maintainer")
+        else {
+            panic!("the maintainer is an object")
+        };
+        maintainer.retain(|(k, _)| k != "disabled");
+        maintainer.push(("disabled".to_owned(), Value::Array(disabled)));
+        std::fs::write(&snap_path, serde_json::to_string(&snapshot).unwrap()).unwrap();
+        assert_eq!(run(&["--resume", snap_path.to_str().unwrap()]), whole);
+        assert!(whole.contains("\"total_delay_ms\": 331.2453687550717"), "{whole}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn run_trace_journal_flag_conflicts_are_reported() {
         let args = Args::parse(&argv(&["--trace", "t.json", "--recover"]), &RUN_TRACE).unwrap();
         let err = run_trace_report(&args).unwrap_err();
@@ -2043,14 +2141,15 @@ mod tests {
     }
 
     /// A 60 × 6 trace (`gen-trace --seed 3`), stopped after 40 events
-    /// with a snapshot, and that snapshot edited nine ways — three of
-    /// its maintainer's arrays cut short, server 0's tree re-rooted
-    /// twice, and that tree's parent links edited four ways (the first
-    /// device hung off a link it is not on, off its own link marked
-    /// disabled, onto a parent cycle, or cut loose) — each paired with
-    /// the finding the quarantine must report. Unchecked, they panic on
-    /// the next step, resume to a different report, or restore a state
-    /// no run can reach.
+    /// with a snapshot, and that snapshot edited eight ways — two of its
+    /// maintainer's arrays cut short, server 0's tree re-rooted twice,
+    /// server 0 marked failed under its live tree (so a node hangs off
+    /// one of its disabled links), and that tree's parent links edited
+    /// three ways (the first device hung off a link it is not on, onto a
+    /// parent cycle, or cut loose) — each paired with the finding the
+    /// quarantine must report. Unchecked, they panic on the next step,
+    /// resume to a different report, or restore a state no run can
+    /// reach.
     fn misshapen_maintainer_snapshots(dir: &Path) -> (Trace, Vec<(String, RuntimeSnapshot)>) {
         use serde_json::Value;
         std::fs::create_dir_all(dir).unwrap();
@@ -2090,7 +2189,7 @@ mod tests {
             parents
         }
         let mut cases = Vec::new();
-        for (field, keep) in [("failed", 3), ("disabled", 10), ("trees", 2)] {
+        for (field, keep) in [("failed", 3), ("trees", 2)] {
             let mut value = snapshot.clone();
             let Value::Array(items) = member(member(&mut value, "maintainer"), field) else {
                 panic!("maintainer.{field} is an array")
@@ -2123,7 +2222,8 @@ mod tests {
         let &Value::UInt(link) = &parents(&mut probe)[device] else {
             panic!("a reached device has a parent link")
         };
-        let Value::Array(links) = member(member(member(&mut probe, "topology"), "graph"), "links")
+        let Value::Array(links) =
+            member(member(member(&mut probe, "topology"), "graph"), "links").clone()
         else {
             panic!("topology.graph.links is an array")
         };
@@ -2143,12 +2243,24 @@ mod tests {
         );
         cases.push((finding, value));
 
+        // Server 0 failed under its live tree: the first node whose
+        // parent link touches server 0's node hangs off a disabled link.
         let mut value = snapshot.clone();
-        let Value::Array(disabled) = member(member(&mut value, "maintainer"), "disabled") else {
-            panic!("maintainer.disabled is an array")
+        let Value::Array(failed) = member(member(&mut value, "maintainer"), "failed") else {
+            panic!("maintainer.failed is an array")
         };
-        disabled[link as usize] = Value::UInt(1);
-        let finding = format!("maintainer tree 0: node {device} hangs off disabled link {link}");
+        assert_eq!(failed[0], Value::Bool(false), "server 0 is alive at event 40");
+        failed[0] = Value::Bool(true);
+        let (node, hop) = parents(&mut probe)
+            .iter()
+            .enumerate()
+            .find_map(|(node, parent)| {
+                let &Value::UInt(l) = parent else { return None };
+                let (a, b) = ends(&links[l as usize]);
+                (a == home as usize || b == home as usize).then_some((node, l))
+            })
+            .expect("server 0's tree leaves its node");
+        let finding = format!("maintainer tree 0: node {node} hangs off disabled link {hop}");
         cases.push((finding, value));
 
         let mut value = snapshot.clone();

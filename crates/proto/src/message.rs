@@ -157,7 +157,7 @@ pub enum Response {
         /// queue depth and brownout level, never of wall clock.
         retry_after_ms: u64,
         /// The daemon's brownout ladder level (`normal`, `l1-budget`,
-        /// `l2-alt-oracle`, `l3-tier-shed`).
+        /// `l2-deep-budget`, `l3-tier-shed`).
         brownout: String,
     },
     /// Pending events were applied.

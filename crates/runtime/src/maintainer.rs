@@ -17,10 +17,11 @@
 //!
 //! A snapshot keeps only what the rest derives from
 //! ([`MaintainerSnapshot`]): each tree's source and parent links, the
-//! per-link disable counts, the failed servers and the savings baseline.
-//! [`DelayMaintainer::restore`] rebuilds the link costs from the
-//! topology and the distances from the parents, refusing any parent
-//! tree that is not a shortest-path tree under those costs.
+//! failed servers and the savings baseline. [`DelayMaintainer::restore`]
+//! rebuilds the per-link disable counts from the failed servers, the
+//! link costs from the topology and the distances from the parents,
+//! refusing any parent tree that is not a shortest-path tree under
+//! those costs.
 //!
 //! Server failure is modeled as *node* failure (matching
 //! [`tacc_topology::Topology::with_failed_node`]): every link incident to
@@ -63,17 +64,17 @@ pub struct DelayMaintainer {
 }
 
 /// The stored form of a [`DelayMaintainer`]: everything but the
-/// distances and the two link-cost arrays, which the topology and the
-/// parents determine. Its members are private, so the only way back to
-/// a maintainer is the validating [`DelayMaintainer::restore`]. It
-/// serializes as the maintainer's members in their order, each tree as
-/// its `source` and `parent_link`; a serialized maintainer that still
-/// carries `base_costs`, `costs`, the trees' `dist` or a `matrix` reads
-/// the same, because unknown members are ignored.
+/// distances, the two link-cost arrays and the per-link disable counts,
+/// which the topology, the parents and the failed servers determine. Its
+/// members are private, so the only way back to a maintainer is the
+/// validating [`DelayMaintainer::restore`]. It serializes as the
+/// maintainer's members in their order, each tree as its `source` and
+/// `parent_link`; a serialized maintainer that still carries
+/// `disabled`, `base_costs`, `costs`, the trees' `dist` or a `matrix`
+/// reads the same, because unknown members are ignored.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MaintainerSnapshot {
     model: DelayModel,
-    disabled: Vec<u32>,
     trees: Vec<ParentTree>,
     failed: Vec<bool>,
     full_mode: bool,
@@ -82,17 +83,15 @@ pub struct MaintainerSnapshot {
 
 impl MaintainerSnapshot {
     /// Where this snapshot's shape disagrees with `topology`, as `(what,
-    /// found, expected)` lengths: `disabled` against the link count,
-    /// `failed` and `trees` against the server count, and every tree's
-    /// parent links against the node count. Empty for any snapshot a
-    /// maintainer over `topology` took; a deserialized one that
-    /// disagrees cannot be rebuilt, so snapshot quarantine reports these
-    /// and [`DelayMaintainer::restore`] refuses them.
+    /// found, expected)` lengths: `failed` and `trees` against the server
+    /// count, and every tree's parent links against the node count.
+    /// Empty for any snapshot a maintainer over `topology` took; a
+    /// deserialized one that disagrees cannot be rebuilt, so snapshot
+    /// quarantine reports these and [`DelayMaintainer::restore`] refuses
+    /// them.
     pub fn shape_mismatches(&self, topology: &Topology) -> Vec<(&'static str, usize, usize)> {
-        let graph = topology.graph();
-        let (links, nodes) = (graph.link_count(), graph.node_count());
+        let nodes = topology.graph().node_count();
         let mut lengths = vec![
-            ("maintainer disabled", self.disabled.len(), links),
             ("maintainer failed", self.failed.len(), topology.num_servers()),
             ("maintainer trees", self.trees.len(), topology.num_servers()),
         ];
@@ -129,7 +128,7 @@ impl MaintainerSnapshot {
         if !self.shape_mismatches(topology).is_empty() {
             return Vec::new();
         }
-        let (_, costs) = self.link_costs(topology);
+        let (_, costs) = self.link_costs(topology, &self.disabled(topology));
         self.trees
             .iter()
             .zip(topology.server_nodes())
@@ -141,16 +140,33 @@ impl MaintainerSnapshot {
             .collect()
     }
 
+    /// The per-link disable counts the failed servers leave: each link
+    /// counts the failed servers whose node it touches, the increments
+    /// [`DelayMaintainer::fail_server`] made. A server node outside the
+    /// graph (which the other findings report) disables nothing.
+    fn disabled(&self, topology: &Topology) -> Vec<u32> {
+        let graph = topology.graph();
+        let mut disabled = vec![0; graph.link_count()];
+        for (&node, _) in topology.server_nodes().iter().zip(&self.failed).filter(|(_, &f)| f) {
+            if node.index() < graph.node_count() {
+                for neighbor in graph.neighbors(node) {
+                    disabled[neighbor.link.index()] += 1;
+                }
+            }
+        }
+        disabled
+    }
+
     /// The base and effective per-link costs over `topology`: each
     /// link's cost under the model at its current latency (the value
     /// [`DelayMaintainer::drift`] writes), and that cost or `∞` while the
     /// link is disabled.
-    fn link_costs(&self, topology: &Topology) -> (Vec<f64>, Vec<f64>) {
+    fn link_costs(&self, topology: &Topology, disabled: &[u32]) -> (Vec<f64>, Vec<f64>) {
         let base: Vec<f64> =
             topology.graph().links().map(|(_, link)| self.model.link_delay_ms(link)).collect();
         let costs = base
             .iter()
-            .zip(&self.disabled)
+            .zip(disabled)
             .map(|(&cost, &disabled)| if disabled > 0 { f64::INFINITY } else { cost })
             .collect();
         (base, costs)
@@ -257,7 +273,6 @@ impl DelayMaintainer {
     pub fn snapshot(&self) -> MaintainerSnapshot {
         MaintainerSnapshot {
             model: self.model.clone(),
-            disabled: self.disabled.clone(),
             trees: self.trees.iter().map(SsspTree::parents).collect(),
             failed: self.failed.clone(),
             full_mode: self.full_mode,
@@ -266,12 +281,12 @@ impl DelayMaintainer {
     }
 
     /// Rebuilds the maintainer a snapshot was taken of, over the
-    /// snapshot's `topology`: the base costs are the model's cost of each
-    /// link at its current latency, the effective costs follow from the
-    /// disable counts, and each tree's distances are summed along its
-    /// parents in tree order ([`SsspTree::from_parents`]) — the same
-    /// additions, so the same bits, as the maintainer the snapshot was
-    /// taken of.
+    /// snapshot's `topology`: the disable counts follow from the failed
+    /// servers, the base costs are the model's cost of each link at its
+    /// current latency, the effective costs follow from the disable
+    /// counts, and each tree's distances are summed along its parents in
+    /// tree order ([`SsspTree::from_parents`]) — the same additions, so
+    /// the same bits, as the maintainer the snapshot was taken of.
     ///
     /// # Errors
     ///
@@ -301,7 +316,8 @@ impl DelayMaintainer {
                 expected.index()
             )));
         }
-        let (base_costs, costs) = snapshot.link_costs(topology);
+        let disabled = snapshot.disabled(topology);
+        let (base_costs, costs) = snapshot.link_costs(topology, &disabled);
         let trees = snapshot
             .trees
             .iter()
@@ -314,7 +330,7 @@ impl DelayMaintainer {
         Ok(DelayMaintainer {
             model: snapshot.model.clone(),
             base_costs,
-            disabled: snapshot.disabled.clone(),
+            disabled,
             costs,
             trees,
             failed: snapshot.failed.clone(),
@@ -745,7 +761,7 @@ mod tests {
         maintainer.fail_server(&topo, 3, &mut Vec::new());
 
         let json = serde_json::to_string(&maintainer.snapshot()).unwrap();
-        for derived in ["\"dist\"", "\"costs\"", "\"base_costs\""] {
+        for derived in ["\"dist\"", "\"costs\"", "\"base_costs\"", "\"disabled\""] {
             assert!(!json.contains(derived), "{derived} is derived, not stored");
         }
         let back: MaintainerSnapshot = serde_json::from_str(&json).unwrap();

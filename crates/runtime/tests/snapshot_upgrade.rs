@@ -1,8 +1,8 @@
 //! Version-2 snapshots written while the delay maintainer still
 //! serialized its own copy of the delay matrix (a `maintainer.matrix`
-//! member), its base and effective link costs and every tree's
-//! distances restore to the same runtime; a version-3 snapshot stores
-//! none of these. The fixtures come from `tacc run-trace` at such a
+//! member), its base and effective link costs, its per-link disable
+//! counts and every tree's distances restore to the same runtime; a
+//! version-3 snapshot stores none of these. The fixtures come from `tacc run-trace` at such a
 //! revision:
 //!
 //! - `upgrade-trace.json`: `gen-trace --devices 24 --servers 4 --events
@@ -57,12 +57,14 @@ fn a_snapshot_carrying_the_matrix_finishes_with_the_uninterrupted_report() {
 fn a_snapshot_carrying_the_matrix_re_serializes_without_it() {
     let mut value: Value = serde_json::from_str(SNAPSHOT).unwrap();
     assert_eq!(serde_json::to_string(&value).unwrap(), SNAPSHOT, "the JSON tree is exact");
-    // Version 3 drops the derived members and nothing else.
+    // Version 3 drops the derived members and nothing else: the disable
+    // counts follow from the failed servers.
     *member(&mut value, "version") = Value::UInt(3);
     let Value::Object(maintainer) = member(&mut value, "maintainer") else {
         panic!("the maintainer is an object")
     };
-    maintainer.retain(|(key, _)| !["matrix", "base_costs", "costs"].contains(&key.as_str()));
+    let derived = ["matrix", "base_costs", "costs", "disabled"];
+    maintainer.retain(|(key, _)| !derived.contains(&key.as_str()));
     let Value::Array(trees) = member(member(&mut value, "maintainer"), "trees") else {
         panic!("the trees are an array")
     };

@@ -24,8 +24,8 @@
 //!   [`ServeConfig::max_pending`] is shed with a typed `Overloaded`
 //!   response carrying a deterministic `retry_after_ms` hint instead of
 //!   being queued unboundedly; sustained pressure walks a hysteretic
-//!   brownout ladder (shrunken solve budgets → ALT-bound solves →
-//!   low-tier shedding) that recovers once the backlog drains.
+//!   brownout ladder (solve budgets ÷4, then ÷16, then low-tier
+//!   shedding) that recovers once the backlog drains.
 //! - **Client resilience** ([`RetryPolicy`]): the bundled [`Client`]
 //!   honors `retry_after_ms` with seeded, jittered exponential backoff
 //!   and idempotent re-sends keyed on a push sequence number, so a shed
@@ -55,6 +55,7 @@ mod server;
 mod session;
 mod signal;
 mod surge;
+mod zoned;
 
 pub use client::{Client, ClientConfig, RetryPolicy};
 pub use config::ServeConfig;
@@ -63,3 +64,4 @@ pub use server::{dispatch_request, Listener, NoHooks, Server, ServerHooks};
 pub use session::{JournalState, Session, SessionStats};
 pub use signal::{install_termination_handler, termination_requested};
 pub use surge::{SurgeConfig, SurgeController};
+pub use zoned::{zoned_solve, ZonedAnswer};

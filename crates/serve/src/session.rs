@@ -5,31 +5,22 @@ use tacc_chaos::{begin_pins, scan_journal, Journal, JournalRecord, RecoveryPolic
 use tacc_core::Algorithm;
 use tacc_gap::GapInstance;
 use tacc_guard::validate::validate_snapshot;
-use tacc_guard::{Budget, Supervisor, SupervisorConfig};
+use tacc_guard::{Budget, GuardReport, Supervisor, SupervisorConfig};
 use tacc_obs::StreamWriter;
 use tacc_proto::{ErrorCode, QueryState, Response};
 use tacc_runtime::{DeviceState, Runtime, RuntimeConfig};
-use tacc_topology::AltOracle;
 use tacc_workload::{event_faults, TimedEvent, Trace, TraceEvent, TraceScenario};
 
 use std::path::Path;
-use std::sync::Mutex;
-
-use tacc_zone::{RouterConfig, ZoneLayout};
 
 use crate::surge::SurgeController;
-use crate::{ServeConfig, ServeError};
+use crate::{zoned_solve, ServeConfig, ServeError};
 
 /// Probes a named failpoint, rendering a fired fault as the typed
 /// [`ServeError::Io`] a real I/O failure on the same path would produce.
 pub(crate) fn failpoint(name: &'static str) -> Result<(), ServeError> {
     tacc_failpoints::check(name).map_err(|f| ServeError::io(name, &f.to_io_error()))
 }
-
-/// Landmarks for the brownout ALT oracle: enough for useful bounds,
-/// cheap enough (one core SSSP sweep per landmark) that building it
-/// under pressure is still far below one exact-matrix refresh.
-const ALT_LANDMARKS: usize = 4;
 
 /// A live control-plane session: the growing trace of wire-accepted
 /// events, the runtime applying them, and the durability/observability
@@ -424,7 +415,7 @@ impl Session {
     }
 
     /// The current brownout-ladder label (`normal`, `l1-budget`,
-    /// `l2-alt-oracle`, `l3-tier-shed`).
+    /// `l2-deep-budget`, `l3-tier-shed`).
     pub fn brownout(&self) -> &'static str {
         self.surge.label()
     }
@@ -655,18 +646,20 @@ impl Session {
     }
 
     /// Re-solves the *current* sub-instance (active devices × alive
-    /// servers) under the supervisor's fallback ladder and a
-    /// deterministic work budget (`0` = the configured default). The
-    /// answer is bounded: the primary anytime solver is truncated at the
-    /// budget, and the ladder guarantees a feasible assignment or a
-    /// typed error — never a hang.
+    /// servers) on the maintained delays under a deterministic work
+    /// budget (`0` = the configured default). With `zones` ≤ 1 the
+    /// session's supervisor runs the fallback ladder over the whole
+    /// sub-instance; with more, [`zoned_solve`] runs one ladder per zone
+    /// under budget shares that sum to the budget. Either way the answer
+    /// is bounded — the primary anytime solver is truncated at the budget
+    /// — and never a hang: the flat ladder answers feasibly or with a
+    /// typed error, and a zoned answer is flagged infeasible when a zone
+    /// whose ladder was exhausted leaves a server overloaded.
     ///
-    /// Under brownout the answer degrades further, explicitly: the
-    /// budget shrinks (÷4 at L1, ÷16 at L2+) and at L2+ the sub-instance
-    /// is built from [`AltOracle`] delay *bounds* instead of exact
-    /// maintained delays — a cheaper, admissible approximation. Solve
-    /// never mutates session state, so a degraded answer cannot perturb
-    /// the event timeline or the final snapshot.
+    /// Under brownout only the budget shrinks: ÷4 at L1, ÷16 at L2 and
+    /// deeper. The delays, the path and the reported objective stay
+    /// exact. Solve never mutates session state, so a degraded answer
+    /// cannot perturb the event timeline or the final snapshot.
     ///
     /// # Errors
     ///
@@ -675,10 +668,7 @@ impl Session {
         self.flush()?;
         let requested = if budget_units == 0 { self.cfg.query_budget } else { budget_units };
         let units = self.surge.solve_budget(requested);
-        let alt = self.surge.use_alt_oracle();
-        if alt {
-            tacc_obs::counter_add("surge.alt_solves", 1);
-        }
+        let budget = Budget::units(units);
         let instance = self.runtime.cluster().instance();
         let active: Vec<usize> =
             (0..instance.num_devices()).filter(|&d| self.runtime.cluster().is_active(d)).collect();
@@ -691,71 +681,69 @@ impl Session {
                 message: "nothing to solve: no active devices or no alive servers".to_owned(),
             });
         }
-        if self.cfg.zones >= 2 && !alt {
-            // Zone-decomposed path; under L2+ brownout the flat
-            // AltOracle-bounded path below stays in charge (its budget
-            // is already ÷16 — decomposition buys nothing there).
-            return self.solve_zoned(units, &active, &alive);
-        }
-        let rows: Vec<Vec<f64>> = if alt {
-            let oracle = AltOracle::new(
-                self.runtime.topology(),
-                self.runtime.maintainer().model(),
-                ALT_LANDMARKS,
-            );
-            active
-                .iter()
-                .map(|&d| alive.iter().map(|&j| oracle.delay_bound(d, j)).collect())
-                .collect()
-        } else {
-            active.iter().map(|&d| alive.iter().map(|&j| instance.delay(d, j)).collect()).collect()
-        };
-        let demands: Vec<f64> = active
-            .iter()
-            .flat_map(|&d| alive.iter().map(move |&j| instance.demand(d, j)))
-            .collect();
-        let capacities: Vec<f64> = alive.iter().map(|&j| instance.capacity(j)).collect();
-        let sub = GapInstance::builder(tacc_topology::DelayMatrix::from_rows(rows))
-            .demand_matrix(demands)
-            .capacities(capacities)
-            .build()
-            .map_err(|e| ServeError::state(format!("sub-instance: {e}")))?;
-
-        self.solves += 1;
-        let seed = self
-            .runtime
-            .config()
-            .seed
-            .wrapping_add(self.solves.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let algorithm =
             Algorithm::by_name(&self.cfg.algorithm).expect("validated at session start");
-        let primary = algorithm.anytime_solver(seed).expect("validated at session start");
 
-        let budget = Budget::units(units);
-        let result = self.supervisor.supervise(primary.as_ref(), &sub, &budget);
-        let (solution, guard) = match result {
-            Ok(answer) => answer,
-            Err(e) => {
-                return Ok(Response::Error {
-                    code: ErrorCode::Internal,
-                    message: format!("solve ladder exhausted: {e}"),
-                });
+        // Each branch answers the guard report and, per active device,
+        // the slot in `alive` of its server.
+        let (guard, slots): (GuardReport, Vec<Option<usize>>) = if self.cfg.zones >= 2 {
+            let seed = self.next_seed();
+            let answer = zoned_solve(
+                self.runtime.topology(),
+                self.runtime.maintainer().link_costs(),
+                self.runtime.cluster().instance(),
+                &active,
+                &alive,
+                self.cfg.zones,
+                &algorithm,
+                seed,
+                &budget,
+            );
+            self.record_stream("zones", answer.zones_record())?;
+            let slots = answer.solution.server_of_device.iter();
+            (answer.report, slots.map(|&s| (s != u32::MAX).then_some(s as usize)).collect())
+        } else {
+            let rows: Vec<Vec<f64>> = active
+                .iter()
+                .map(|&d| alive.iter().map(|&j| instance.delay(d, j)).collect())
+                .collect();
+            let demands: Vec<f64> = active
+                .iter()
+                .flat_map(|&d| alive.iter().map(move |&j| instance.demand(d, j)))
+                .collect();
+            let capacities: Vec<f64> = alive.iter().map(|&j| instance.capacity(j)).collect();
+            let sub = GapInstance::builder(tacc_topology::DelayMatrix::from_rows(rows))
+                .demand_matrix(demands)
+                .capacities(capacities)
+                .build()
+                .map_err(|e| ServeError::state(format!("sub-instance: {e}")))?;
+            let primary = algorithm.anytime_solver(self.next_seed()).expect("validated");
+            match self.supervisor.supervise(primary.as_ref(), &sub, &budget) {
+                Ok((solution, guard)) => (
+                    guard,
+                    (0..active.len()).map(|row| solution.assignment.server_of(row)).collect(),
+                ),
+                Err(e) => {
+                    return Ok(Response::Error {
+                        code: ErrorCode::Internal,
+                        message: format!("solve ladder exhausted: {e}"),
+                    });
+                }
             }
         };
 
         let assignment: Vec<(usize, usize)> = active
             .iter()
-            .enumerate()
-            .filter_map(|(row, &device)| {
-                solution.assignment.server_of(row).map(|s| (device, alive[s]))
-            })
+            .zip(slots)
+            .filter_map(|(&device, slot)| slot.map(|s| (device, alive[s])))
             .collect();
+        let degradation = guard.degradation.label().to_owned();
         self.record_stream(
             "solve",
             vec![
                 ("budget".to_owned(), Value::UInt(units)),
                 ("solver".to_owned(), Value::Str(guard.solver.clone())),
-                ("degradation".to_owned(), Value::Str(guard.degradation.label().to_owned())),
+                ("degradation".to_owned(), Value::Str(degradation.clone())),
                 ("objective".to_owned(), Value::Float(guard.objective)),
                 ("feasible".to_owned(), Value::Bool(guard.feasible)),
                 ("brownout".to_owned(), Value::Str(self.surge.label().to_owned())),
@@ -765,7 +753,7 @@ impl Session {
             feasible: guard.feasible,
             objective: guard.objective,
             solver: guard.solver,
-            degradation: guard.degradation.label().to_owned(),
+            degradation,
             spent: guard.spent,
             fallbacks: guard.fallbacks,
             panics_caught: guard.panics_caught,
@@ -773,114 +761,11 @@ impl Session {
         })
     }
 
-    /// Zone-decomposed Solve: partitions the alive servers into
-    /// `cfg.zones` zones over the maintainer's *current* link costs,
-    /// routes active devices through the compressed summary, and
-    /// supervises one guard ladder per zone under budget shares that
-    /// sum exactly to the query budget. Merged answer: objective is
-    /// the device-order delay sum after border refinement, degradation
-    /// is the worst any zone reported. Read-only on session state,
-    /// like the flat path.
-    fn solve_zoned(
-        &mut self,
-        units: u64,
-        active: &[usize],
-        alive: &[usize],
-    ) -> Result<Response, ServeError> {
-        let instance = self.runtime.cluster().instance();
-        let topology = self.runtime.topology();
-        let capacities: Vec<f64> = alive.iter().map(|&j| instance.capacity(j)).collect();
-        let layout = ZoneLayout::build_scoped(
-            topology,
-            self.runtime.maintainer().link_costs(),
-            alive,
-            &capacities,
-            self.cfg.zones,
-        );
-        let devices: Vec<tacc_topology::NodeId> =
-            active.iter().map(|&d| topology.iot_nodes()[d]).collect();
-        let demands: Vec<f64> = active.iter().map(|&d| instance.demand(d, 0)).collect();
-        let routing = layout.route(&devices, &demands, &RouterConfig::default());
-        let budgets = layout.split_rounds(&routing, &Budget::units(units));
-
+    /// Counts one more solve and returns its seed: the runtime seed
+    /// advanced by the golden-ratio increment per solve.
+    fn next_seed(&mut self) -> u64 {
         self.solves += 1;
-        let seed = self
-            .runtime
-            .config()
-            .seed
-            .wrapping_add(self.solves.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let algorithm =
-            Algorithm::by_name(&self.cfg.algorithm).expect("validated at session start");
-        // One guard ladder per zone; reports land in a zone-indexed
-        // side table so the parallel merge stays deterministic.
-        let reports: Mutex<Vec<Option<tacc_gap::GuardReport>>> =
-            Mutex::new(vec![None; layout.num_zones()]);
-        let zoned =
-            layout.solve_with(&devices, &demands, &routing, &budgets, |zone, sub, share| {
-                let primary =
-                    algorithm.anytime_solver(seed.wrapping_add(zone as u64)).expect("validated");
-                let mut supervisor = Supervisor::new(SupervisorConfig::default());
-                match supervisor.supervise(primary.as_ref(), sub, &Budget::units(share)) {
-                    Ok((solution, guard)) => {
-                        reports.lock().expect("report table")[zone] = Some(guard);
-                        solution
-                    }
-                    // The ladder is exhausted only when even greedy cannot
-                    // place the zone's devices; the reference dense solver
-                    // still yields a complete (possibly overloaded)
-                    // assignment, which the merge flags infeasible.
-                    Err(_) => tacc_zone::dense_solve(sub, seed.wrapping_add(zone as u64), 1),
-                }
-            });
-        let reports = reports.into_inner().expect("report table");
-        let (mut spent, mut fallbacks, mut panics_caught) = (0u64, 0u32, 0u32);
-        let mut degradation = tacc_gap::DegradationLevel::None;
-        for guard in reports.iter().flatten() {
-            spent += guard.spent;
-            fallbacks += guard.fallbacks;
-            panics_caught += guard.panics_caught;
-            degradation = degradation.max(guard.degradation);
-        }
-        let solver = format!("zoned:{}", self.cfg.algorithm);
-
-        self.record_stream(
-            "zones",
-            vec![
-                ("zones".to_owned(), Value::UInt(layout.num_zones() as u64)),
-                ("router_spills".to_owned(), Value::UInt(routing.spills as u64)),
-                ("border_refinements".to_owned(), Value::UInt(zoned.refinements as u64)),
-                ("budget".to_owned(), Value::UInt(units)),
-            ],
-        )?;
-        self.record_stream(
-            "solve",
-            vec![
-                ("budget".to_owned(), Value::UInt(units)),
-                ("solver".to_owned(), Value::Str(solver.clone())),
-                ("degradation".to_owned(), Value::Str(degradation.label().to_owned())),
-                ("objective".to_owned(), Value::Float(zoned.objective)),
-                ("feasible".to_owned(), Value::Bool(zoned.feasible)),
-                ("brownout".to_owned(), Value::Str(self.surge.label().to_owned())),
-            ],
-        )?;
-        let assignment: Vec<(usize, usize)> = active
-            .iter()
-            .enumerate()
-            .filter_map(|(row, &device)| {
-                let slot = zoned.server_of_device[row];
-                (slot != u32::MAX).then(|| (device, alive[slot as usize]))
-            })
-            .collect();
-        Ok(Response::Solution {
-            feasible: zoned.feasible,
-            objective: zoned.objective,
-            solver,
-            degradation: degradation.label().to_owned(),
-            spent,
-            fallbacks,
-            panics_caught,
-            assignment,
-        })
+        self.runtime.config().seed.wrapping_add(self.solves.wrapping_mul(0x9E37_79B9_7F4A_7C15))
     }
 
     /// The deterministic session summary (flushes first).

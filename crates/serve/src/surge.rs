@@ -7,12 +7,16 @@
 //! backlog against the cap, and every rejection) and walks a four-level
 //! ladder:
 //!
-//! | level | label           | effect                                       |
-//! |-------|-----------------|----------------------------------------------|
-//! | 0     | `normal`        | none                                         |
-//! | 1     | `l1-budget`     | Solve budgets ÷ 4, longer retry hints        |
-//! | 2     | `l2-alt-oracle` | + Solve runs on ALT delay *bounds*, budgets ÷ 16 |
-//! | 3     | `l3-tier-shed`  | + bursts with no top-tier device face a halved admission cap |
+//! | level | label            | effect                                       |
+//! |-------|------------------|----------------------------------------------|
+//! | 0     | `normal`         | none                                         |
+//! | 1     | `l1-budget`      | Solve budgets ÷ 4, longer retry hints        |
+//! | 2     | `l2-deep-budget` | Solve budgets ÷ 16; bursts with no top-tier device face a ¾ admission cap |
+//! | 3     | `l3-tier-shed`   | as L2, but those bursts face a halved cap    |
+//!
+//! Every level solves on the same exact, maintained delays: brownout
+//! shrinks the work a Solve may spend, never the accuracy of what it
+//! reports.
 //!
 //! Escalation is immediate (one level per pressured observation);
 //! recovery is **hysteretic** — it takes
@@ -72,12 +76,12 @@ impl SurgeController {
     }
 
     /// The current level's stable label (`normal`, `l1-budget`,
-    /// `l2-alt-oracle`, `l3-tier-shed`).
+    /// `l2-deep-budget`, `l3-tier-shed`).
     pub fn label(&self) -> &'static str {
         match self.level {
             0 => "normal",
             1 => "l1-budget",
-            2 => "l2-alt-oracle",
+            2 => "l2-deep-budget",
             _ => "l3-tier-shed",
         }
     }
@@ -140,12 +144,6 @@ impl SurgeController {
             _ => (units / 16).max(1),
         }
     }
-
-    /// Whether Solve should run on ALT delay bounds instead of exact
-    /// maintained delays (level 2 and deeper).
-    pub fn use_alt_oracle(&self) -> bool {
-        self.level >= 2
-    }
 }
 
 #[cfg(test)]
@@ -159,7 +157,7 @@ mod tests {
         c.observe(100, 100, true);
         assert_eq!((c.level(), c.label()), (1, "l1-budget"));
         c.observe(100, 100, true);
-        assert_eq!((c.level(), c.label()), (2, "l2-alt-oracle"));
+        assert_eq!((c.level(), c.label()), (2, "l2-deep-budget"));
         c.observe(100, 100, true);
         c.observe(100, 100, true);
         assert_eq!((c.level(), c.label()), (3, "l3-tier-shed"), "saturates at 3");
@@ -247,12 +245,10 @@ mod tests {
     fn solve_budgets_shrink_with_level() {
         let mut c = SurgeController::new(SurgeConfig::default());
         assert_eq!(c.solve_budget(2000), 2000);
-        assert!(!c.use_alt_oracle());
         c.observe(100, 100, true);
         assert_eq!(c.solve_budget(2000), 500);
         c.observe(100, 100, true);
         assert_eq!(c.solve_budget(2000), 125);
-        assert!(c.use_alt_oracle());
         assert_eq!(c.solve_budget(3), 1, "never zero");
     }
 }

@@ -13,9 +13,8 @@
 //! Two kernels run on a snapshot:
 //!
 //! - [`CsrGraph::sssp_into`], the distance kernel behind the delay
-//!   matrix, the zone layout and the ALT oracle: a bucket queue, with a
-//!   binary-heap fallback for cost arrays that have no finite positive
-//!   cost;
+//!   matrix and the zone layout: a bucket queue, with a binary-heap
+//!   fallback for cost arrays that have no finite positive cost;
 //! - [`CsrGraph::sssp_tree_into`], the binary-heap kernel that also
 //!   records shortest-path tree parents for
 //!   [`crate::routing::RoutingTable`].

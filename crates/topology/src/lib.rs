@@ -23,8 +23,7 @@
 //!   production kernels — a bucket-queue distance sweep and a heap
 //!   sweep that records routing parents for [`routing::RoutingTable`].
 //! - [`compress`]: the leaf-compressed core the distance sweeps of
-//!   [`Topology::delay_matrix`], the zone layout and the ALT oracle run
-//!   on.
+//!   [`Topology::delay_matrix`] and the zone layout run on.
 //! - [`incremental`]: shortest-path trees repaired in place after
 //!   link-cost drift or link failure, for the online runtime.
 //!
@@ -70,7 +69,6 @@ pub mod export;
 pub mod generators;
 mod graph;
 pub mod incremental;
-pub mod oracle;
 pub mod routing;
 pub mod shortest_path;
 mod topology;
@@ -79,5 +77,4 @@ pub use compress::CompressedCore;
 pub use delay::{DelayMatrix, DelayModel};
 pub use error::TopologyError;
 pub use graph::{Graph, Link, LinkId, Neighbor, Node, NodeId, NodeKind, Point};
-pub use oracle::AltOracle;
 pub use topology::Topology;

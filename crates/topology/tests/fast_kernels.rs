@@ -1,11 +1,10 @@
 //! Property tests for the fast-path kernels built on the CSR bucket
-//! queue: the leaf-compressed core and the ALT delay oracle. The core
-//! carries a **bit-for-bit** contract against the adjacency-list
-//! Dijkstra reference — not a tolerance — across every
-//! topology-generator family, because it is a drop-in replacement on
-//! paths whose outputs are pinned byte-identical (delay matrices, obs
-//! streams, snapshots); the oracle's bounds must never exceed the exact
-//! delay. The bucket queue is checked here against the CSR heap loop
+//! queue and the leaf-compressed core. The core carries a
+//! **bit-for-bit** contract against the adjacency-list Dijkstra
+//! reference — not a tolerance — across every topology-generator
+//! family, because it is a drop-in replacement on paths whose outputs
+//! are pinned byte-identical (delay matrices, obs streams, snapshots).
+//! The bucket queue is checked here against the CSR heap loop
 //! and in `par_equivalence.rs` against the adjacency-list Dijkstra.
 
 mod common;
@@ -15,7 +14,7 @@ use proptest::prelude::*;
 use common::family_topology;
 use tacc_topology::csr::{CsrGraph, SsspScratch};
 use tacc_topology::shortest_path::dijkstra;
-use tacc_topology::{AltOracle, CompressedCore, DelayModel};
+use tacc_topology::{CompressedCore, DelayModel};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -76,32 +75,6 @@ proptest! {
                     got.to_bits() == reference[v].to_bits(),
                     "family={family} source={:?} node={v}: compressed={got} full={}",
                     server, reference[v]
-                );
-            }
-        }
-    }
-
-    /// The ALT oracle's lower bound never exceeds the exact delay, for
-    /// every family.
-    #[test]
-    fn alt_oracle_bounds_are_admissible_and_refine_to_the_matrix(
-        family in 0usize..6,
-        seed in 0u64..500,
-        n in 4usize..16,
-        m in 2usize..5,
-        landmarks in 1usize..6,
-    ) {
-        let topo = family_topology(family, seed, n, m);
-        let model = DelayModel::default();
-        let matrix = topo.delay_matrix(&model);
-        let oracle = AltOracle::new(&topo, &model, landmarks);
-        for i in 0..matrix.num_iot() {
-            for j in 0..matrix.num_servers() {
-                let bound = oracle.delay_bound(i, j);
-                prop_assert!(
-                    bound <= matrix.get(i, j),
-                    "family={family} ({i},{j}): bound {bound} exceeds exact {}",
-                    matrix.get(i, j)
                 );
             }
         }

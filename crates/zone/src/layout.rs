@@ -117,9 +117,9 @@ impl ZoneLayout {
     }
 
     /// [`ZoneLayout::build_with_threads`] at the ambient `tacc-par`
-    /// worker count — the form the online paths (`tacc serve`) use,
-    /// with the maintainer's drifted link costs and the alive-server
-    /// subset.
+    /// worker count — the form the zoned Solve (`tacc_serve::zoned_solve`)
+    /// uses, with the link costs in force (a daemon's drifted ones) and
+    /// the servers it solves over (a daemon's alive ones).
     pub fn build_scoped(
         topology: &Topology,
         costs: &[f64],

@@ -175,8 +175,8 @@ impl ZoneLayout {
         }
     }
 
-    /// Zoned solve with a caller-supplied per-zone solver (`tacc serve`
-    /// passes a guard-supervised one). Zones run in parallel via
+    /// Zoned solve with a caller-supplied per-zone solver
+    /// (`tacc_serve::zoned_solve` passes a guard-supervised one). Zones run in parallel via
     /// `tacc-par` and merge in zone order; the refinement pass and the
     /// capacity repair are serial, so the result is deterministic at
     /// any worker count as long as `solver` is.
