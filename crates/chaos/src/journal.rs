@@ -7,7 +7,8 @@
 //! - a `Begin` record pins the journal format version, the trace's
 //!   [`Trace::fingerprint`] and the [`RuntimeConfig`], so a journal can
 //!   never silently resume against the wrong trace or configuration;
-//! - a `Step` record lands after every fully-processed event;
+//! - a `Step` record lands after every fully-processed event (trace
+//!   replays only — see below);
 //! - a `Snapshot` record (the full [`RuntimeSnapshot`]) lands on a
 //!   configurable cadence and is the restore point;
 //! - a `Recovered` record marks each successful recovery, after which
@@ -31,7 +32,9 @@
 //! bootstraps; a recovered (or promoted-standby) daemon restores its
 //! seq-dedup state from the last `SeqAck`, so a client re-sending an
 //! acked burst after failover gets the recorded acknowledgement instead
-//! of a double-apply.
+//! of a double-apply. Such a journal holds no `Step` record: its `Event`
+//! records already fix the timeline a replay applies, so applying
+//! pending events journals nothing but a `Snapshot` when one is due.
 //!
 //! The reader accepts exactly one format: CRC-framed lines under a
 //! `Begin` record whose `journal_version` is [`JOURNAL_VERSION`]. An
@@ -102,7 +105,10 @@ pub enum JournalRecord {
         /// The configuration the replay runs under.
         config: RuntimeConfig,
     },
-    /// Event `index` was fully processed.
+    /// Event `index` was fully processed. Only trace replays write it
+    /// (`run-trace --journal` and the chaos runner), whose recovery
+    /// reports the highest as [`Recovery::last_step`]; a wire-fed
+    /// session's events are its `Event` records, so it writes none.
     Step {
         /// Index of the processed event in the trace.
         index: u64,

@@ -76,3 +76,29 @@ fn a_one_shot_algorithm_is_refused_with_zones_as_with_a_budget() {
     assert!(stderr.contains("`greedy-regret` is one-shot"), "{stderr}");
     assert_eq!(stderr, String::from_utf8(budget.stderr).unwrap());
 }
+
+#[test]
+fn a_zone_answered_by_the_last_resort_is_reported_as_a_fallback() {
+    // Zones 4–6 of this instance cannot be packed by any ladder stage,
+    // so the dense last resort answers them.
+    let out = tacc(&[
+        "solve",
+        "--devices",
+        "200",
+        "--servers",
+        "16",
+        "--zones",
+        "8",
+        "--load",
+        "0.99",
+        "--seed",
+        "1",
+        "--algorithm",
+        "local-search",
+        "--budget",
+        "200",
+    ]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(text.contains("\ndegradation: fallback, "), "{text}");
+}

@@ -129,11 +129,12 @@ impl Replicator {
 ///   served as the new primary). `Hello`, `Metrics` and `Shutdown` pass
 ///   through; anything else is refused with a typed error until
 ///   promotion, so a confused client cannot split-brain the pair.
-/// - **Primary role** ([`HaHooks::primary`]): after every dispatched
-///   request, ships the newly journaled lines and — if the standby
-///   could not acknowledge them — downgrades an `Accepted` to a
-///   retryable error, so no client ever holds an ack the standby
-///   doesn't.
+/// - **Primary role** ([`HaHooks::primary`]): after every request
+///   dispatched while a session exists, ships the newly journaled lines
+///   and — if the standby could not acknowledge them — downgrades an
+///   `Accepted` to a retryable error, so no client ever holds an ack
+///   the standby doesn't. Before the session exists nothing ships: the
+///   file at the journal path is not yet the session's journal.
 #[derive(Debug, Default)]
 pub struct HaHooks {
     standby: Option<StandbyCore>,
@@ -208,10 +209,18 @@ impl ServerHooks for HaHooks {
         }
     }
 
-    fn post_dispatch(&mut self, response: Response, _session: &mut Option<Session>) -> Response {
+    fn post_dispatch(&mut self, response: Response, session: &mut Option<Session>) -> Response {
         let Some(replicator) = self.replicator.as_mut() else {
             return response;
         };
+        // Before `Init` (or `--recover`) opens the session's journal, the
+        // file at that path is whatever an earlier run left there, and
+        // `Init` truncates it: shipping it would leave the tail's offset
+        // inside a file that no longer exists. Ship nothing until then,
+        // so the first read starts at line 0 of the session's journal.
+        if session.is_none() {
+            return response;
+        }
         match replicator.sync() {
             Ok(_) => response,
             Err(e) => {

@@ -9,10 +9,10 @@ use proptest::prelude::*;
 use tacc_chaos::{
     journal_line_count, scan_journal, Journal, JournalRecord, RecoveryPolicy, JOURNAL_VERSION,
 };
-use tacc_ha::{JournalTail, StandbyCore};
-use tacc_proto::Response;
+use tacc_ha::{HaHooks, JournalTail, Replicator, StandbyCore};
+use tacc_proto::{Request, Response};
 use tacc_runtime::{Runtime, RuntimeConfig};
-use tacc_serve::{JournalState, ServeConfig, ServeError, Session};
+use tacc_serve::{Client, JournalState, ServeConfig, ServeError, Server, Session};
 use tacc_workload::{TimedEvent, TopologyFamily, Trace, TraceEvent, TraceGenerator, TraceScenario};
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -283,6 +283,107 @@ fn promotion_hands_over_what_recovery_rebuilds_from_the_copy() {
             }
         }
     }
+}
+
+#[test]
+fn a_read_that_takes_no_snapshot_leaves_nothing_to_ship() {
+    let dir = temp_dir("read-ships-nothing");
+    let trace = scripted_trace(TopologyFamily::ErdosRenyi, 31);
+    let journal = dir.join("primary.jsonl");
+    let cfg = ServeConfig { journal: Some(journal.clone()), ..ServeConfig::default() };
+    let standby_cfg =
+        ServeConfig { journal: Some(dir.join("standby.jsonl")), ..ServeConfig::default() };
+    let mut primary = Session::start(shell(&trace), RuntimeConfig::default(), &cfg).unwrap();
+    let mut tail = JournalTail::new(&journal);
+    let mut standby = StandbyCore::new(&standby_cfg).unwrap();
+
+    let mut shipped = 0;
+    for (seq, burst) in (1..).zip(trace.events.chunks(8)) {
+        primary.push(burst.to_vec(), seq).unwrap();
+        let lines = tail.poll().unwrap();
+        assert!(!lines.is_empty(), "a push ships its events");
+        shipped = standby.apply(shipped, &lines).unwrap();
+        // The query applies the burst (fewer events than the snapshot
+        // cadence): nothing to make durable, nothing to ship.
+        assert!(primary.pending() > 0);
+        let offset = tail.offset();
+        assert!(matches!(primary.query(0).unwrap(), Response::Device { .. }));
+        assert_eq!(tail.poll().unwrap(), Vec::<String>::new(), "burst {seq}: a query shipped");
+        assert_eq!(tail.offset(), offset);
+    }
+    let mut promoted = standby.promote().unwrap();
+    assert_eq!(promoted.snapshot_json().unwrap(), primary.snapshot_json().unwrap());
+    assert_eq!(delays(promoted.runtime()), delays(primary.runtime()));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Boots a daemon on a Unix socket in a thread, running `hooks`.
+fn boot_with(
+    socket: &Path,
+    cfg: ServeConfig,
+    mut hooks: HaHooks,
+) -> std::thread::JoinHandle<Result<(), ServeError>> {
+    let mut server = Server::bind(None, Some(socket), cfg).unwrap();
+    std::thread::spawn(move || server.run_with(&mut hooks))
+}
+
+#[test]
+fn a_primary_restarted_over_an_old_journal_ships_only_its_new_session() {
+    let dir = temp_dir("stale-journal");
+    let primary_journal = dir.join("primary.jsonl");
+    let standby_journal = dir.join("standby.jsonl");
+    let (primary_sock, standby_sock) = (dir.join("primary.sock"), dir.join("standby.sock"));
+    let primary_cfg =
+        ServeConfig { journal: Some(primary_journal.clone()), ..ServeConfig::default() };
+    let standby_cfg =
+        ServeConfig { journal: Some(standby_journal.clone()), ..ServeConfig::default() };
+
+    // An earlier session's journal at the primary's path.
+    let old = scripted_trace(TopologyFamily::Grid, 7);
+    let mut earlier = Session::start(shell(&old), RuntimeConfig::default(), &primary_cfg).unwrap();
+    earlier.push(old.events.clone(), 1).unwrap();
+    earlier.close().unwrap();
+
+    // A fresh standby, and a primary started over that journal without
+    // `--recover`: its first requests precede any session.
+    let trace = scripted_trace(TopologyFamily::Grid, 8);
+    let standby = boot_with(
+        &standby_sock,
+        standby_cfg.clone(),
+        HaHooks::standby(StandbyCore::new(&standby_cfg).unwrap()),
+    );
+    let replicator = Replicator::new(&primary_journal, standby_sock.to_str().unwrap());
+    let primary = boot_with(&primary_sock, primary_cfg, HaHooks::primary(replicator));
+    let mut client = Client::connect_unix(&primary_sock).unwrap();
+    assert!(matches!(client.hello("stale-journal").unwrap(), Response::Hello { .. }));
+    let response = client.init(shell(&trace), RuntimeConfig::default()).unwrap();
+    assert!(matches!(response, Response::Initialized { .. }), "got {response:?}");
+    for (seq, burst) in (1..).zip(trace.events.chunks(10)) {
+        let response = client.request(&Request::Push { events: burst.to_vec(), seq }).unwrap();
+        assert!(matches!(response, Response::Accepted { .. }), "seq {seq}: {response:?}");
+    }
+    // Every acked line is on the standby: its copy is the new journal.
+    assert_eq!(std::fs::read(&standby_journal).unwrap(), std::fs::read(&primary_journal).unwrap());
+    let expected = {
+        let Response::Snapshot { snapshot_json } = client.snapshot().unwrap() else {
+            panic!("snapshot must answer Snapshot");
+        };
+        snapshot_json
+    };
+    client.shutdown().unwrap();
+    drop(client);
+    primary.join().unwrap().unwrap();
+
+    // The promoted standby serves the new session, not the old one.
+    let mut client = Client::connect_unix(&standby_sock).unwrap();
+    assert!(matches!(client.request(&Request::Promote).unwrap(), Response::Promoted { .. }));
+    let Response::Snapshot { snapshot_json } = client.snapshot().unwrap() else {
+        panic!("snapshot must answer Snapshot");
+    };
+    assert_eq!(snapshot_json, expected, "the promoted standby lost the new session");
+    client.shutdown().unwrap();
+    standby.join().unwrap().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -573,9 +573,12 @@ impl Session {
         })
     }
 
-    /// Applies every pending event in one coalesced pass and journals
-    /// the progress (a `Step` high-water mark, plus a `Snapshot` on the
-    /// configured cadence).
+    /// Applies every pending event in one coalesced pass. The journal
+    /// already holds those events (`push` wrote them ahead), so a flush
+    /// appends a record only when the snapshot cadence is due: the
+    /// `Snapshot` restore point. Any other flush, and so every read that
+    /// applies pending events first, writes no journal line, fsyncs
+    /// nothing and leaves a replicating primary nothing to ship.
     ///
     /// # Errors
     ///
@@ -598,14 +601,14 @@ impl Session {
         tacc_obs::counter_add("serve.events_applied", applied);
 
         if let Some(journal) = self.journal.as_mut() {
-            let mut records = vec![JournalRecord::Step { index: cursor - 1 }];
             if self.cfg.snapshot_every > 0 && self.applied_since_snapshot >= self.cfg.snapshot_every
             {
                 failpoint("snapshot.save")?;
-                records.push(JournalRecord::Snapshot { snapshot: self.runtime.snapshot() });
+                journal
+                    .append(&JournalRecord::Snapshot { snapshot: self.runtime.snapshot() })
+                    .map_err(|e| ServeError::state(e.to_string()))?;
                 self.applied_since_snapshot = 0;
             }
-            journal.append_batch(&records).map_err(|e| ServeError::state(e.to_string()))?;
         }
         self.record_stream(
             "flush",

@@ -1,6 +1,7 @@
 //! The zoned Solve: the one pipeline both `tacc serve --zones` and
 //! `tacc solve --zones` run.
 
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 
 use serde_json::Value;
@@ -19,7 +20,9 @@ pub struct ZonedAnswer {
     /// The zones' guard reports as one: solver `zoned:<algorithm>`, the
     /// merged objective and feasibility, the worst degradation any zone
     /// reported, and the budget, spend, fallbacks, panics and breaker
-    /// trips summed over the zones.
+    /// trips summed over the zones. A zone answered by the last resort
+    /// adds one fallback and raises the degradation to at least
+    /// `fallback`.
     pub report: GuardReport,
     /// Devices the router spilled past their nearest zone's headroom.
     pub router_spills: usize,
@@ -45,8 +48,9 @@ impl ZonedAnswer {
 /// and answers each zone with `algorithm`, seeded `seed + zone`, under
 /// its own guard ladder. A zone whose ladder is exhausted (even greedy
 /// cannot place its devices) takes [`dense_solve`]'s complete, possibly
-/// overloaded assignment, which the merge flags infeasible. The answer
-/// is the same at any worker count.
+/// overloaded assignment, which the merge repairs where it can and
+/// otherwise flags infeasible, and counts as one fallback in the report.
+/// The answer is the same at any worker count.
 ///
 /// # Panics
 ///
@@ -72,6 +76,7 @@ pub fn zoned_solve(
     // Reports land in a zone-indexed side table, so the parallel merge
     // stays deterministic.
     let reports: Mutex<Vec<Option<GuardReport>>> = Mutex::new(vec![None; layout.num_zones()]);
+    let last_resorts = AtomicU32::new(0);
     let solution = layout.solve_with(&nodes, &demands, &routing, &budgets, |zone, sub, share| {
         let zone_seed = seed.wrapping_add(zone as u64);
         let primary = algorithm.anytime_solver(zone_seed).expect("an anytime algorithm");
@@ -81,10 +86,14 @@ pub fn zoned_solve(
                 reports.lock().expect("report table")[zone] = Some(guard);
                 solution
             }
-            Err(_) => dense_solve(sub, zone_seed, 1),
+            Err(_) => {
+                last_resorts.fetch_add(1, Ordering::Relaxed);
+                dense_solve(sub, zone_seed, 1)
+            }
         }
     });
     let reports = reports.into_inner().expect("report table");
+    let last_resorts = last_resorts.into_inner();
     let mut report = GuardReport {
         solver: format!("zoned:{}", algorithm.name()),
         budget: Some(budgets.iter().sum()),
@@ -92,8 +101,12 @@ pub fn zoned_solve(
         completed: reports.iter().all(|r| r.as_ref().is_some_and(|guard| guard.completed)),
         objective: solution.objective,
         feasible: solution.feasible,
-        degradation: DegradationLevel::None,
-        fallbacks: 0,
+        degradation: if last_resorts > 0 {
+            DegradationLevel::Fallback
+        } else {
+            DegradationLevel::None
+        },
+        fallbacks: last_resorts,
         panics_caught: 0,
         breaker_trips: 0,
         wallclock_tripped: false,

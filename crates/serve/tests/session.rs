@@ -317,6 +317,67 @@ fn recovery_refuses_an_algorithm_that_cannot_answer_solve() {
 }
 
 #[test]
+fn a_read_journals_nothing_and_a_due_snapshot_is_the_only_flush_record() {
+    use tacc_chaos::{scan_journal, JournalRecord, RecoveryPolicy};
+
+    let trace = trace(120, 67);
+    let dir = temp_dir("flush-records");
+    let journal = dir.join("session.jsonl");
+    let cfg = ServeConfig {
+        batch_size: 1_000,
+        snapshot_every: 64,
+        journal: Some(journal.clone()),
+        ..ServeConfig::default()
+    };
+    let mut session = Session::start(shell(&trace), runtime_config(), &cfg).unwrap();
+    let length = || std::fs::metadata(&journal).unwrap().len();
+    let mut bursts = trace.events.chunks(12);
+    let mut push = |session: &mut Session| {
+        let burst = bursts.next().unwrap().to_vec();
+        assert!(matches!(session.push(burst, 0).unwrap(), Response::Accepted { .. }));
+        assert!(session.pending() > 0, "the read below has events to apply");
+    };
+
+    // Four reads, each applying one burst of 12: 48 applied events stay
+    // short of the 64-event cadence, so no read writes a byte.
+    push(&mut session);
+    let before = length();
+    assert!(matches!(session.query(0).unwrap(), Response::Device { .. }));
+    assert_eq!(length(), before, "query");
+    push(&mut session);
+    let before = length();
+    assert!(matches!(session.solve(0).unwrap(), Response::Solution { .. }));
+    assert_eq!(length(), before, "solve");
+    push(&mut session);
+    let before = length();
+    session.stats().unwrap();
+    assert_eq!(length(), before, "stats");
+    push(&mut session);
+    let before = length();
+    session.snapshot_json().unwrap();
+    assert_eq!(length(), before, "snapshot_json");
+
+    // Two more bursts cross the cadence: the flush appends one line,
+    // the restore point of the flushed state.
+    push(&mut session);
+    push(&mut session);
+    let lines = |path: &std::path::Path| std::fs::read_to_string(path).unwrap().lines().count();
+    let before = lines(&journal);
+    let state = session.snapshot_json().unwrap();
+    assert_eq!(lines(&journal), before + 1, "one line per due snapshot");
+    let records = scan_journal(&journal, RecoveryPolicy::Strict).unwrap().records;
+    let Some(JournalRecord::Snapshot { snapshot }) = records.last() else {
+        panic!("the appended line is not a Snapshot: {:?}", records.last());
+    };
+    assert_eq!(snapshot.to_json(), state, "the restore point is the flushed state");
+    assert!(
+        !records.iter().any(|r| matches!(r, JournalRecord::Step { .. })),
+        "a served journal holds no Step record"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn the_snapshot_answer_is_the_journaled_snapshot_byte_for_byte() {
     let trace = trace(150, 59);
     let dir = temp_dir("one-encoding");
